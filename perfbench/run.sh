@@ -3,6 +3,9 @@
 #
 #   bash perfbench/run.sh --workload sweep-cold --seed 1 --seconds 20 --trace 0
 #
+# "--workload all" as the first two arguments runs the three workloads one
+# after another, each in a process of its own, and fails if any fails.
+#
 # The build cache, the binary, the run's cell stores and trace files all
 # live under .bench_build/ at the root of the checkout; nothing is written
 # elsewhere and nothing is downloaded.
@@ -15,4 +18,12 @@ export GOCACHE="$out/gocache" GOMODCACHE="$out/gomodcache" GOTMPDIR="$out/tmp" \
 	GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOFLAGS=
 (cd "$here" && go build -o "$out/perfbench" .) >&2
 cd "$root"
+if [ "${1:-}" = "--workload" ] && [ "${2:-}" = "all" ]; then
+	shift 2
+	status=0
+	for w in sweep-cold sweep-warm fleet-fetch; do
+		"$out/perfbench" --workload "$w" "$@" || status=1
+	done
+	exit "$status"
+fi
 exec "$out/perfbench" "$@"
