@@ -27,15 +27,19 @@ const (
 	fleetLeaseBatch = 4
 	fleetSlots      = 2
 	// fleetMaxCellsPerS sizes the primed pool: enough fresh cells for
-	// every pass a run of the given length can make at up to this rate.
-	// A faster fleet runs out and ends its timed passes early.
-	fleetMaxCellsPerS = 900
+	// every pass a run of the given length can make at up to this rate,
+	// about 2.4 times the measured 491-546 cells/s, so the fleet path can
+	// shed the half of its CPU that deflate-writer set-up and temp files
+	// take. A faster fleet runs out of cells, and the run fails rather
+	// than report a shortened measurement.
+	fleetMaxCellsPerS = 1300
 	// fleetRatioPasses is how many timed passes bash_vs_best covers, so
 	// it does not depend on how many passes fit in the run.
 	fleetRatioPasses = 4
 )
 
-// errExhausted ends the timed passes when the primed pool is used up.
+// errExhausted ends the timed passes, and fails the run, when the primed
+// pool is used up.
 var errExhausted = errors.New("primed fleet cells exhausted")
 
 // fleet is fleet-fetch: one process runs a coordinator on loopback TCP, a

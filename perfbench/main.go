@@ -309,11 +309,12 @@ func run(name string, seed uint64, budget time.Duration, traced bool, work, trac
 	// Sized up front so the pass log does not grow the heap mid-run.
 	plain, withSpans := make([]passStats, 0, 8192), make([]passStats, 0, 1024)
 	start := time.Now()
+	var exhausted time.Duration
 	for sweep := 1; ; sweep++ {
 		isTraced := traced && sweep%2 == 0 && len(withSpans) < maxTracedPasses
 		ps, err := w.pass(isTraced, sweep)
 		if errors.Is(err, errExhausted) {
-			fmt.Fprintf(os.Stderr, "perfbench: %s: %v after %.1f s; timed passes end early\n", name, err, time.Since(start).Seconds())
+			exhausted = time.Since(start)
 			break
 		}
 		if err != nil {
@@ -336,6 +337,8 @@ func run(name string, seed uint64, budget time.Duration, traced bool, work, trac
 	}
 
 	var c checks
+	// A run cut short is not comparable with a full one, so it fails.
+	c.expect(exhausted == 0, "%v after %.1f s of the %.0f s budget: raise fleetMaxCellsPerS", errExhausted, exhausted.Seconds(), budget.Seconds())
 	layers := map[string]float64{}
 	w.finish(&c, layers)
 	ratio := w.bashVsBest()

@@ -4,32 +4,27 @@
 Runs every workload of BENCHMARK.json on a series of seeds, in sets, and
 writes per set, workload and end-to-end metric the median and quartiles
 (statistics.quantiles(n=4)) and the quartile spread as a share of the
-median. Also runs the traced run twice on one seed per workload and
-checks that every exact count repeats bit for bit.
+median. The sets are interleaved run by run (set 1 seed i, set 2 seed i,
+then seed i + 1), so slow drift of the host's speed falls on every set
+alike rather than showing as a shift between them. Then it runs the
+traced run twice on one seed per workload: the benchmark itself fails a
+run whose exact counts differ from an earlier run of the same binary and
+seed, and the record keeps those counts.
 
-    python3 perfbench/steady.py --sets 2 --runs 10 --out perfbench/STEADINESS.json
+    python3 perfbench/steady.py --out perfbench/STEADINESS.json   # the committed record
     python3 perfbench/steady.py --sets 1 --runs 5 --workloads sweep-cold   # quick look
 
 Run it from the root of the checkout.
 """
 import argparse
+import glob
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
 import time
-
-# Per-layer metrics that must repeat bit for bit between runs of one seed.
-EXACT = {
-    "sweep-cold": ["sim.events_per_op", "network.bytes_per_op", "network.control_bytes_per_op",
-                   "network.utilization", "coherence.miss_latency_ns", "coherence.retries_per_op",
-                   "coherence.nacks_per_op", "coherence.sharing_miss_frac", "cache.miss_ratio",
-                   "adaptive.broadcast_frac", "experiments.sims", "experiments.memo_hits",
-                   "experiments.fetched", "core.pool_builds"],
-    "sweep-warm": ["experiments.sims", "experiments.memo_hits", "experiments.fetched"],
-    "fleet-fetch": ["experiments.sims", "experiments.memo_hits", "experiments.fetched"],
-}
 
 
 def run(bench, workload, seed, trace):
@@ -48,6 +43,13 @@ def run(bench, workload, seed, trace):
           " ".join(f"{k}={v['value']:.6g}" for k, v in sorted(out["metrics"].items())
                    if trace == 0), flush=True)
     return out
+
+
+def exact_counts(workload, seed):
+    """The exact counts the benchmark recorded for workload and seed, from
+    the newest record under .bench_build/exact (one file per binary)."""
+    paths = glob.glob(os.path.join(".bench_build", "exact", f"*-{workload}-{seed}.json"))
+    return json.load(open(max(paths, key=os.path.getmtime)))
 
 
 def fleet_parameters():
@@ -71,31 +73,33 @@ def main():
     ap.add_argument("--sets", type=int, default=2)
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--workloads", default="")
-    ap.add_argument("--seed-base", type=int, default=1000)
+    ap.add_argument("--seed-base", type=int, default=3000)
     ap.add_argument("--out", default="")
-    ap.add_argument("--no-exact", action="store_true")
     args = ap.parse_args()
 
     bench = json.load(open("BENCHMARK.json"))
     names = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
     metrics = bench["end_to_end"]
     record = {"run_seconds": bench["run_seconds"], "runs_per_set": args.runs,
+              "order": "interleaved: for each i, every workload on set 1 seed i, then on set 2 seed i",
               "bounds": {m["name"]: m["bound"] for m in metrics},
               "fleet_parameters": fleet_parameters(), "sets": []}
-    for s in range(args.sets):
-        print(f"set {s + 1}", flush=True)
-        vals = {w: {m["name"]: [] for m in metrics} for w in names}
-        for i in range(args.runs):
-            seed = args.seed_base + 100 * s + i
+    seeds = [[args.seed_base + 100 * s + i for i in range(args.runs)] for s in range(args.sets)]
+    vals = [{w: {m["name"]: [] for m in metrics} for w in names} for _ in seeds]
+    for i in range(args.runs):
+        for s in range(args.sets):
+            print(f"set {s + 1} run {i + 1}", flush=True)
             for w in names:
-                out = run(bench, w, seed, 0)
+                out = run(bench, w, seeds[s][i], 0)
                 for m in metrics:
-                    vals[w][m["name"]].append(out["metrics"][m["name"]]["value"])
-        record["sets"].append({"seeds": [args.seed_base + 100 * s + i for i in range(args.runs)],
-                               "workloads": {w: {m: summarize(v) for m, v in vals[w].items()}
+                    vals[s][w][m["name"]].append(out["metrics"][m["name"]]["value"])
+    for s in range(args.sets):
+        record["sets"].append({"seeds": seeds[s],
+                               "workloads": {w: {m: summarize(v) for m, v in vals[s][w].items()}
                                              for w in names}})
 
     ok = True
+    record["shift"] = {w: {} for w in names}
     for m in metrics:
         for w in names:
             sets = [st["workloads"][w][m["name"]] for st in record["sets"]]
@@ -106,6 +110,7 @@ def main():
             if len(sets) > 1:
                 a, b = sets[0]["median"], sets[1]["median"]
                 worse = (b - a) / a if m["better"] == "lower" else (a - b) / a
+                record["shift"][w][m["name"]] = worse
                 flags.append(f"shift={worse:+.4f}")
                 if worse > m["bound"]:
                     flags.append("SHIFT>bound")
@@ -113,16 +118,15 @@ def main():
                 ok = False
             print(f"{w:12s} {m['name']:16s} bound={m['bound']} {line} {' '.join(flags)}")
 
-    if not args.no_exact:
-        record["exact"] = {}
-        for w in names:
-            a = run(bench, w, args.seed_base, 1)["metrics"]
-            b = run(bench, w, args.seed_base, 1)["metrics"]
-            same = all(a[k]["value"] == b[k]["value"] for k in EXACT[w])
-            record["exact"][w] = {"seed": args.seed_base, "repeat_bit_for_bit": same,
-                                  "values": {k: a[k]["value"] for k in EXACT[w]}}
-            print(f"{w:12s} exact counts repeat: {same}")
-            ok = ok and same
+    # run() stops at a non-zero exit, which is how the benchmark reports
+    # exact counts that did not repeat.
+    record["exact"] = {}
+    for w in names:
+        run(bench, w, args.seed_base, 1)
+        run(bench, w, args.seed_base, 1)
+        record["exact"][w] = {"seed": args.seed_base, "traced_runs": 2,
+                              "values": exact_counts(w, args.seed_base)}
+        print(f"{w:12s} exact counts repeated over two traced runs", flush=True)
 
     if args.out:
         with open(args.out, "w") as f:
