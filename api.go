@@ -130,23 +130,22 @@ type (
 	// LeaseTTL and MaxLeaseExpiries bound dead-worker recovery, LeaseBatch
 	// sets how many jobs one lease grants (with result-reply refills and
 	// adaptive shrink near queue exhaustion), Secret authenticates every
-	// request with a constant-time shared-secret check, CoExecute runs
-	// loopback worker slots on the coordinator itself so a lone
-	// coordinator still makes progress, Wire selects the transports
-	// served ("" offers both the binary framed protocol and HTTP/JSON;
-	// "http" disables the binary endpoint), and CacheDir opens the
-	// coordinator's own cell store for the peer cell exchange (fetches are
-	// served from it before relaying to an advertised holder).
+	// wire connection and HTTP request with a constant-time shared-secret
+	// check, CoExecute runs worker slots on the coordinator itself (over
+	// an in-memory wire connection) so a lone coordinator still makes
+	// progress, and CacheDir opens the coordinator's own cell store for
+	// the peer cell exchange (fetches are served from it before relaying
+	// to an advertised holder).
 	DistOptions = dist.CoordinatorOptions
 	// DistCoordinator owns the job queue and lease table, serves the wire
-	// protocol (binary frames over one persistent connection per worker,
-	// with an HTTP/JSON fallback), and implements Backend. Serve it with
-	// its Serve method so /dist/status reports socket-level byte counters.
+	// protocol (binary frames over one persistent connection per worker),
+	// and implements Backend. Serve it with its Serve method so
+	// /dist/status reports socket-level byte counters.
 	DistCoordinator = dist.Coordinator
 	// DistWorkerOptions configures one worker process (Secret must match
-	// the coordinator's; MaxBatch caps accepted batch sizes; Wire forces
-	// "binary" or "http", defaulting to negotiation; CacheDir names the
-	// worker's cell store and enables the peer cell exchange, whose
+	// the coordinator's; MaxBatch caps accepted batch sizes; Wire must be
+	// "" or "binary", the only transport; CacheDir names the worker's cell
+	// store and enables the peer cell exchange, whose
 	// advertisement traffic AdvertBudget caps in bytes per second;
 	// PeerAddr additionally serves that store to other workers directly,
 	// enabling the worker-to-worker data path).
@@ -159,9 +158,9 @@ type (
 	// grants, and current placement-ring size).
 	DistStats = dist.Stats
 	// DistAuthError is the terminal error a worker returns when the
-	// coordinator rejects its shared secret (HTTP 401, or an auth-failed
-	// ERROR frame on the binary wire): unlike connection errors, it is
-	// not retried.
+	// coordinator rejects its shared secret (an auth-failed ERROR frame on
+	// the wire; status queries get it for an HTTP 401): unlike connection
+	// errors, it is not retried.
 	DistAuthError = dist.AuthError
 )
 
@@ -182,7 +181,7 @@ func RunDistWorker(ctx context.Context, o DistWorkerOptions) error { return dist
 // distributed job kinds — experiment cells and tester trials — publishing
 // results into the cell store under cacheDir (empty disables persistence).
 // Worker processes call it at startup; a coordinator using
-// DistOptions.CoExecute must call it too, since its loopback worker
+// DistOptions.CoExecute must call it too, since its in-process worker
 // executes through the same registry.
 func RegisterDistExecutors(cacheDir string) {
 	experiments.RegisterCellExecutor(experiments.Options{CacheDir: cacheDir})
@@ -193,7 +192,7 @@ func RegisterDistExecutors(cacheDir string) {
 // long-lived multi-tenant layer over the distributed coordinator. A
 // SweepService stays up with an empty queue, accepts named sweep
 // submissions from separate processes (`bashsim -submit URL -exp fig1`,
-// POST /dist/submit, or a SUBMIT frame on the binary wire), runs them
+// a SUBMIT frame on the wire, or POST /dist/submit), runs them
 // FIFO within priority over one shared worker fleet, and serves results,
 // a Prometheus-style /metrics endpoint, and a no-JavaScript live status
 // page. See the "Observability" and "Service mode" sections of the
@@ -248,9 +247,9 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // SubmitSweep submits one named sweep to the running sweep service at
 // o.Coordinator (a base URL such as "http://host:8497") and returns the
-// service's acceptance decision. It uses the same transport negotiation
-// and authentication as RunDistWorker (`bashsim -submit URL` from the
-// command line).
+// service's acceptance decision. It uses the same wire transport and
+// authentication as RunDistWorker (`bashsim -submit URL` from the command
+// line).
 func SubmitSweep(ctx context.Context, o DistWorkerOptions, req SweepSubmitRequest) (SweepSubmitResponse, error) {
 	return dist.SubmitSweep(ctx, o, req)
 }

@@ -100,7 +100,6 @@ func main() {
 		distSecret = flag.String("dist-secret", "", "shared secret authenticating the distributed job protocol (both -serve and -worker; empty = unauthenticated)")
 		coExecute  = flag.Int("co-execute", runtime.NumCPU(), "in-process worker slots the coordinator runs alongside dispatching (0 = dispatch only)")
 		distStatus = flag.String("dist-status", "", "with -serve: write the coordinator's final /dist/status JSON to this file")
-		distWire   = flag.String("wire", "", "distributed transport: auto (default: negotiate binary frames, fall back to JSON), binary, or http; with -serve, http disables the binary endpoint")
 		advBudget  = flag.Int("advert-budget", 65536, "peer cell exchange: approximate bytes/sec each worker may spend advertising its cell-store indicator (0 = unpaced)")
 		workerKind = flag.String("worker-kinds", "", "with -worker: comma-separated job kinds to lease (empty = every registered executor); a kind matching no jobs makes a holder-only worker that just advertises and serves its cell store")
 		peerAddr   = flag.String("peer-addr", "", "with -worker: serve this worker's cell store to other workers on this address (e.g. :9102; must be dialable by peers); empty disables the direct data path")
@@ -131,12 +130,6 @@ func main() {
 	)
 	flag.Parse()
 
-	switch *distWire {
-	case "", "auto", "binary", "http":
-	default:
-		fmt.Fprintf(os.Stderr, "bashsim: -wire %q: want auto, binary, or http\n", *distWire)
-		os.Exit(2)
-	}
 	// Reject contradictory flag combinations up front with a description of
 	// the conflict, instead of silently ignoring one side.
 	expSet, seedsSet, campaignKnob := false, false, ""
@@ -197,11 +190,11 @@ func main() {
 		return
 	}
 	if *submit != "" {
-		runSubmit(*submit, *exp, *scale, *priority, seedList, *distSecret, *distWire)
+		runSubmit(*submit, *exp, *scale, *priority, seedList, *distSecret)
 		return
 	}
 	if *worker != "" {
-		runWorker(*worker, *cacheDir, *noCache, *noReuse, *parallel, *distSecret, *workerPoll, *distWire, *advBudget, *workerKind, *peerAddr)
+		runWorker(*worker, *cacheDir, *noCache, *noReuse, *parallel, *distSecret, *workerPoll, *advBudget, *workerKind, *peerAddr)
 		return
 	}
 	if *single {
@@ -243,7 +236,6 @@ func main() {
 			LeaseBatch: *leaseBatch,
 			Secret:     *distSecret,
 			CoExecute:  *coExecute,
-			Wire:       *distWire,
 			CacheDir:   opts.CacheDir,
 		}, opts, *maxSweeps, *distStatus)
 		return
@@ -260,7 +252,6 @@ func main() {
 			LeaseBatch: *leaseBatch,
 			Secret:     *distSecret,
 			CoExecute:  *coExecute,
-			Wire:       *distWire,
 			CacheDir:   opts.CacheDir,
 		}, campaign.Options{
 			CovTarget: *covTarget,
@@ -278,7 +269,6 @@ func main() {
 			LeaseBatch: *leaseBatch,
 			Secret:     *distSecret,
 			CoExecute:  *coExecute,
-			Wire:       *distWire,
 			CacheDir:   opts.CacheDir,
 		}, opts)
 		opts.Backend = coord
@@ -543,13 +533,12 @@ func runCampaign(opts experiments.Options, serveAddr string, copt dist.Coordinat
 
 // runSubmit queues one named sweep on a sweep-service coordinator and
 // prints the acknowledged id and queue position.
-func runSubmit(coordinator, exp, scale string, priority int, seeds []uint64, secret, wire string) {
+func runSubmit(coordinator, exp, scale string, priority int, seeds []uint64, secret string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	resp, err := dist.SubmitSweep(ctx, dist.WorkerOptions{
 		Coordinator: coordinator,
 		Secret:      secret,
-		Wire:        wire,
 	}, dist.SubmitRequest{Exp: exp, Scale: scale, Priority: priority, Seeds: seeds})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bashsim: -submit: %v\n", err)
@@ -674,7 +663,7 @@ func writeDistStatus(coord *dist.Coordinator, path string) error {
 // The store also feeds the peer cell exchange: its keys are advertised to
 // the coordinator (paced by -advert-budget) and hinted cells are fetched
 // from the fleet instead of simulated.
-func runWorker(coordinator, cacheDir string, noCache, noReuse bool, slots int, secret string, poll time.Duration, wire string, advertBudget int, kindList, peerAddr string) {
+func runWorker(coordinator, cacheDir string, noCache, noReuse bool, slots int, secret string, poll time.Duration, advertBudget int, kindList, peerAddr string) {
 	var kinds []string
 	for _, k := range strings.Split(kindList, ",") {
 		if k = strings.TrimSpace(k); k != "" {
@@ -702,7 +691,6 @@ func runWorker(coordinator, cacheDir string, noCache, noReuse bool, slots int, s
 		Slots:        slots,
 		Secret:       secret,
 		Poll:         poll,
-		Wire:         wire,
 		Kinds:        kinds,
 		CacheDir:     dir,
 		AdvertBudget: advertBudget,

@@ -127,39 +127,37 @@
 // *RunnerPanicError with the job's label and the remote stack, exactly like
 // in-process pool panics.
 //
-// The protocol runs over one of two transports behind a common state
-// machine. By default a worker negotiates the binary framed wire: one
+// The protocol runs over one transport, the binary framed wire: one
 // persistent TCP connection per worker (upgraded via POST /dist/wire),
 // every slot's actions multiplexed over it as CRC-checked frames whose
 // payloads compress against a per-connection dictionary — no per-action
-// connection setup, no JSON/base64 envelope, several times fewer
-// coordinator-side bytes per cell. A coordinator that does not speak it
-// (an older build, or DistOptions.Wire = "http") makes the worker fall
-// back to the original JSON-over-HTTP path; DistWorkerOptions.Wire (the
-// -wire flag) forces either transport. Dropped connections redial with
-// capped exponential backoff plus jitter, and leases lost in the gap
+// connection setup, no JSON/base64 envelope. Dropped connections redial
+// with capped exponential backoff plus jitter, and leases lost in the gap
 // reassign through the normal TTL machinery. Serve the coordinator with
 // its Serve method and /dist/status reports socket-level byte and frame
-// counters for both transports.
+// counters. HTTP otherwise carries only the operator surfaces: GET
+// /dist/status and POST /dist/submit.
 //
 // DistOptions.Secret (the -dist-secret flag, on both roles) authenticates
-// the protocol: every HTTP request must carry the shared secret in the
-// X-Bashsim-Secret header, and every binary connection must open with a
-// HELLO frame carrying its SHA-256 digest (both compared in constant
-// time). Mismatches are rejected — 401, or a terminal auth-flagged ERROR
-// frame — and a rejected worker exits with a descriptive
+// the protocol: every wire connection must open with a HELLO frame
+// carrying the shared secret's SHA-256 digest, and every HTTP request must
+// carry the secret in the X-Bashsim-Secret header (both compared in
+// constant time). Mismatches are rejected — a terminal auth-flagged ERROR
+// frame, or 401 — and a rejected worker exits with a descriptive
 // *dist.AuthError instead of retrying. DistOptions.CoExecute (the
 // -co-execute flag, default one slot per CPU on the CLI) runs that many
-// in-process loopback worker slots on the coordinator for the duration of
-// every batch — same wire protocol, auth included — so a lone coordinator
-// makes progress with no external workers; register executors first
+// in-process worker slots on the coordinator for the duration of every
+// batch, connected over an in-memory pipe to the same frame dispatcher —
+// same wire protocol, auth included — so a lone coordinator makes progress
+// with no external workers; register executors first
 // (RegisterDistExecutors), exactly as a worker process would.
 //
 // The peer cell exchange makes the content-addressed store fleet-wide.
 // Workers advertise compact Bloom-filter indicators over their store keys
 // (paced and sized against DistWorkerOptions.AdvertBudget, deltas
-// preferred over full re-sends); the coordinator tables them per worker
-// and marks each granted job with a likely-holder hint. Before simulating
+// preferred over full re-sends); the coordinator tables them per worker,
+// each entry living exactly as long as the wire connection that advertised
+// it, and marks each granted job with a likely-holder hint. Before simulating
 // a hinted cell, the worker fetches it — directly from an advertised
 // holder's peer listener when one is known, else served from the
 // coordinator's own store (DistOptions.CacheDir) or relayed from the
@@ -200,9 +198,9 @@
 //
 // Coordinator and workers must run the same binary: cache keys embed the
 // binary fingerprint, so mismatched builds never exchange stale results
-// (they simply miss). The protocol (binary frames or JSON over HTTP, gob
-// payloads either way) trusts its network unless a shared secret is
-// configured — run it on a private cluster or set one.
+// (they simply miss). The protocol (binary frames carrying gob payloads)
+// trusts its network unless a shared secret is configured — run it on a
+// private cluster or set one.
 //
 // # Service mode
 //
@@ -210,8 +208,8 @@
 // long-lived multi-tenant sweep service (SweepService, internal/svc)
 // instead of running one sweep and exiting. The service stays up with an
 // empty queue; separate processes submit named sweeps with `bashsim
-// -submit URL -exp fig1 -scale quick [-priority N]` (POST /dist/submit
-// over HTTP/JSON, or a SUBMIT frame when the binary wire negotiates), and
+// -submit URL -exp fig1 -scale quick [-priority N]` (a SUBMIT frame on
+// the wire; operators may also POST the same JSON to /dist/submit), and
 // each accepted sweep gets an id, a queue position, and a result URL.
 // Sweeps run highest-priority-first (FIFO within a priority) over the one
 // shared worker fleet, up to ServeOptions.MaxActive at a time — a running

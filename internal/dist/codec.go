@@ -15,11 +15,11 @@ import (
 	"repro/internal/dist/wire"
 )
 
-// wireProtoName is the HTTP Upgrade token that negotiates the binary
-// transport on /dist/wire. The "/3" tracks wire.Version: a worker offering
-// a token the coordinator does not speak gets a plain HTTP refusal and
-// negotiates down to JSON — mixed builds degrade gracefully at the upgrade
-// instead of failing on a frame parse mid-sweep.
+// wireProtoName is the HTTP Upgrade token that opens the wire transport
+// on /dist/wire. The "/3" tracks wire.Version: a worker offering a token
+// the coordinator does not speak gets a plain HTTP refusal (426) and fails
+// with wire.ErrNotWire — mixed builds fail at the upgrade with a
+// description instead of on a frame parse mid-sweep.
 const wireProtoName = "bashsim-wire/3"
 
 // Parse bounds: generous multiples of anything the protocol produces, tight
@@ -211,8 +211,7 @@ func parseLeaseRequest(p []byte) (leaseRequest, error) {
 
 // --- GRANT (lease and refill replies share one shape) -------------------
 
-// appendGrant encodes a leaseResponse; resultResponse converts to it (the
-// structs have identical fields, differing only in which endpoint replies).
+// appendGrant encodes a leaseResponse (a GRANT or a RESULT-ACK).
 func appendGrant(b []byte, resp leaseResponse) []byte {
 	b = appendUvarint(b, uint64(resp.LeaseMillis))
 	b = appendUvarint(b, uint64(resp.Done))

@@ -1,20 +1,18 @@
 package dist
 
-// Coordinator side of the binary wire transport. A worker POSTs to
+// Coordinator side of the wire transport. A remote worker POSTs to
 // /dist/wire with an Upgrade header; the coordinator hijacks the
 // connection, answers 101 Switching Protocols, and from then on the
 // connection speaks wire frames: one HELLO (name + secret digest, checked
 // in constant time before any protocol state is touched), one WELCOME, and
 // then one request/reply frame pair per protocol action, multiplexed by
-// stream id across the worker's slots. The frame handlers call the same
-// leaseRPC/heartbeatRPC/resultRPC state machine as the HTTP/JSON
-// endpoints, so every batching, reassignment, and auth guarantee holds
-// identically on both transports.
+// stream id across the worker's slots. Co-execution skips the upgrade: its
+// worker gets one end of an in-memory net.Pipe and the coordinator serves
+// the other end with the same dispatcher, so every batching, reassignment,
+// and auth guarantee holds identically for in-process and remote workers.
 
 import (
 	"context"
-	"crypto/sha256"
-	"crypto/subtle"
 	"fmt"
 	"io"
 	"net"
@@ -112,8 +110,8 @@ func (wc *wireConn) status() WireConnStatus {
 // protocol and serves frames until the connection dies.
 func (c *Coordinator) handleWire(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Upgrade") != wireProtoName {
-		// An old worker (or a curious client) that does not speak the
-		// protocol gets a plain HTTP error it can fall back on.
+		// A client that does not speak this build's protocol gets a plain
+		// HTTP error naming the token it should have sent.
 		http.Error(w, "upgrade required: set Upgrade: "+wireProtoName, http.StatusUpgradeRequired)
 		return
 	}
@@ -127,9 +125,9 @@ func (c *Coordinator) handleWire(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "hijack: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	defer conn.Close()
 	if _, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nUpgrade: "+
 		wireProtoName+"\r\nConnection: Upgrade\r\n\r\n"); err != nil {
+		conn.Close()
 		return
 	}
 	// brw.Reader may hold bytes the worker pipelined behind the upgrade
@@ -137,11 +135,24 @@ func (c *Coordinator) handleWire(w http.ResponseWriter, r *http.Request) {
 	c.serveWireConn(conn, brw.Reader)
 }
 
-// serveWireConn runs one binary connection: handshake, then a
-// read-dispatch-reply loop. Any protocol violation — malformed payload,
-// unexpected frame type — is terminal: the worker gets an ERROR frame and
-// the connection closes (fail closed, like the frame decoder itself).
+// pipeConnect is co-execution's connect seam: an in-memory net.Pipe whose
+// far end the coordinator serves exactly like an upgraded connection.
+func (c *Coordinator) pipeConnect(ctx context.Context) (net.Conn, io.Reader, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	worker, coord := net.Pipe()
+	go c.serveWireConn(coord, coord)
+	return worker, worker, nil
+}
+
+// serveWireConn runs one wire connection until it dies, then closes it:
+// handshake, then a read-dispatch-reply loop. Any protocol violation —
+// malformed payload, unexpected frame type — is terminal: the worker gets
+// an ERROR frame and the connection closes (fail closed, like the frame
+// decoder itself).
 func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) {
+	defer conn.Close()
 	rd := wire.NewReader(r)
 	wr := wire.NewWriter(conn)
 	count := func(err error) error {
@@ -164,9 +175,9 @@ func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) {
 		count(wr.WriteFrame(wire.FrameError, 0, 0, []byte(err.Error())))
 		return
 	}
-	if !c.digestOK(digest) {
-		// The terminal auth frame is what lets a binary worker exit with
-		// *dist.AuthError exactly like an HTTP 401 would make it.
+	if !secretDigestOK(c.opt.Secret, digest) {
+		// The terminal auth frame is what makes the worker exit with
+		// *dist.AuthError instead of redialing.
 		count(wr.WriteFrame(wire.FrameError, wire.FlagAuthFailed, 0,
 			[]byte("unauthorized: shared secret mismatch on HELLO")))
 		return
@@ -209,7 +220,8 @@ func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) {
 				count(wr.WriteFrame(wire.FrameError, 0, h.Stream, []byte(err.Error())))
 				return
 			}
-			c.advertRPC(req, int(h.Length))
+			req.Worker = worker
+			c.advertRPC(req, int(h.Length), wc)
 			continue
 		case wire.FrameCell:
 			// Reply to a coordinator-initiated relay stream: hand the raw
@@ -315,8 +327,7 @@ func (c *Coordinator) dispatchFrame(h wire.Header, payload []byte) (byte, *[]byt
 			wire.PutBuffer(buf)
 			return 0, nil, err
 		}
-		// resultResponse and leaseResponse are the same grant shape.
-		*buf = appendGrant(*buf, leaseResponse(c.resultRPC(req)))
+		*buf = appendGrant(*buf, c.resultRPC(req))
 		return wire.FrameResultAck, buf, nil
 	case wire.FrameSubmit:
 		req, err := parseSubmit(payload)
@@ -333,18 +344,4 @@ func (c *Coordinator) dispatchFrame(h wire.Header, payload []byte) (byte, *[]byt
 		wire.PutBuffer(buf)
 		return 0, nil, fmt.Errorf("dist: unexpected %s frame on an established connection", wire.TypeName(h.Type))
 	}
-}
-
-// digestOK compares a HELLO's secret digest against the coordinator's in
-// constant time. A coordinator with no secret accepts any HELLO, mirroring
-// the HTTP middleware being absent.
-func (c *Coordinator) digestOK(digest []byte) bool {
-	if c.opt.Secret == "" {
-		return true
-	}
-	want := sha256.Sum256([]byte(c.opt.Secret))
-	if len(digest) != sha256.Size {
-		return false
-	}
-	return subtle.ConstantTimeCompare(want[:], digest) == 1
 }

@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -38,25 +37,21 @@ type CoordinatorOptions struct {
 	// sweep rebalances across the fleet instead of piling onto one
 	// straggler.
 	LeaseBatch int
-	// Secret, when non-empty, is the shared secret every request must
-	// carry in the X-Bashsim-Secret header (compared in constant time).
-	// Requests without it are rejected with 401 and never touch the queue.
+	// Secret, when non-empty, is the shared secret every client must
+	// present (compared in constant time): wire connections carry its
+	// SHA-256 digest in their HELLO frame, HTTP requests (/dist/status,
+	// /dist/submit) carry it in the X-Bashsim-Secret header. Mismatches
+	// are rejected before they touch the queue.
 	Secret string
-	// CoExecute, when positive, runs that many in-process loopback worker
-	// slots for the duration of every Run: the coordinator leases jobs to
-	// itself through the same protocol path (auth included) whenever it
-	// has idle cores, so a lone coordinator still makes progress with no
-	// external workers at all. The process must have the jobs' executors
-	// registered (e.g. experiments.RegisterCellExecutor), exactly like a
-	// worker process; kinds with no registered executor are never leased
-	// to the loopback worker.
+	// CoExecute, when positive, runs that many in-process worker slots for
+	// the duration of every Run: the coordinator leases jobs to itself over
+	// an in-memory wire connection (auth included) whenever it has idle
+	// cores, so a lone coordinator still makes progress with no external
+	// workers at all. The process must have the jobs' executors registered
+	// (e.g. experiments.RegisterCellExecutor), exactly like a worker
+	// process; kinds with no registered executor are never leased to the
+	// in-process worker.
 	CoExecute int
-	// Wire selects the transports served. "" (or "binary"/"auto") serves
-	// both the binary framed protocol (workers upgrade via POST
-	// /dist/wire) and the HTTP/JSON fallback; "http" disables the binary
-	// upgrade so every worker negotiates down to JSON. /dist/status is
-	// always plain HTTP either way.
-	Wire string
 	// CacheDir, when non-empty, opens the coordinator's own cell store
 	// there. Fetches are served from it before any relay is attempted, and
 	// relayed entries are written through to it, so one warm coordinator
@@ -113,11 +108,10 @@ type batch struct {
 	jobs      []*trackedJob
 	results   [][]byte
 	errs      []error
-	remaining int
 	completed int
 	priority  int // grant order: higher drains first, ties FIFO by job id
 	progress  func(done, total int)
-	done      chan struct{} // closed when remaining reaches zero
+	done      chan struct{} // closed once the last completion is reported
 	closed    bool          // abandoned (canceled); late results are dropped
 
 	// progressMu serializes notifyProgress; lastReported keeps the
@@ -126,22 +120,28 @@ type batch struct {
 	lastReported int
 }
 
-// notifyProgress fires the batch's progress callback. It must be called
-// WITHOUT holding the coordinator mutex: the callback is user code and may
-// call back into the Coordinator (the CLI's progress line asks Workers()).
-// Counts that lost the race to a later completion are dropped, so done is
-// strictly increasing as Options.Progress promises.
+// notifyProgress fires the batch's progress callback and, for the last
+// completion, releases Run — after the callback, so no callback runs once
+// Run has returned. It must be called WITHOUT holding the coordinator
+// mutex: the callback is user code and may call back into the Coordinator
+// (the CLI's progress line asks Workers()). Counts that lost the race to a
+// later completion are dropped, so done is strictly increasing as
+// Options.Progress promises.
 func (b *batch) notifyProgress(done int) {
-	if b == nil || b.progress == nil || done == 0 {
+	if b == nil || done == 0 {
 		return
 	}
-	b.progressMu.Lock()
-	defer b.progressMu.Unlock()
-	if done <= b.lastReported {
-		return
+	if b.progress != nil {
+		b.progressMu.Lock()
+		if done > b.lastReported {
+			b.lastReported = done
+			b.progress(done, len(b.jobs))
+		}
+		b.progressMu.Unlock()
 	}
-	b.lastReported = done
-	b.progress(done, len(b.jobs))
+	if done == len(b.jobs) {
+		close(b.done)
+	}
 }
 
 // Coordinator owns the job queue and lease table and serves the wire
@@ -152,7 +152,7 @@ func (b *batch) notifyProgress(done int) {
 // across one worker fleet at once.
 type Coordinator struct {
 	opt     CoordinatorOptions
-	handler http.Handler // built once: HTTP servers and the loopback share it
+	handler http.Handler // built once, shared by every server it is mounted on
 	exch    *exchange    // peer cell exchange: indicator table + fetch routing
 
 	mu       sync.Mutex
@@ -178,13 +178,13 @@ type Coordinator struct {
 	submitMu sync.Mutex
 	submit   func(SubmitRequest) SubmitResponse
 
-	// coMu guards the refcounted loopback worker: concurrent Runs share one
+	// coMu guards the refcounted co-execution worker: concurrent Runs share one
 	// in-process worker rather than stacking CoExecute slots per sweep.
 	coMu     sync.Mutex
 	coRuns   int
 	coCancel context.CancelFunc
 
-	// wireMu guards the live binary connections (per-connection counters
+	// wireMu guards the live wire connections (per-connection counters
 	// surface in /dist/status) plus a bounded history of closed ones; frame
 	// totals also count closed connections.
 	wireMu      sync.Mutex
@@ -198,7 +198,7 @@ type Coordinator struct {
 
 	leases, refills, dispatched, completed, failed, reassigned atomic.Uint64
 	bytesIn, bytesOut                                          atomic.Uint64 // socket-level, via Serve
-	framesIn, framesOut                                        atomic.Uint64 // binary frames, via /dist/wire
+	framesIn, framesOut                                        atomic.Uint64 // wire frames, all connections
 	ringOwnerGrants                                            atomic.Uint64 // jobs granted to their ring owner
 }
 
@@ -214,42 +214,34 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 		wireConns: map[*wireConn]struct{}{},
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /dist/lease", c.handleLease)
-	mux.HandleFunc("POST /dist/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("POST /dist/result", c.handleResult)
-	mux.HandleFunc("POST /dist/advert", c.handleAdvert)
-	mux.HandleFunc("POST /dist/fetch", c.handleFetch)
 	mux.HandleFunc("POST /dist/submit", c.handleSubmit)
 	mux.HandleFunc("GET /dist/status", c.handleStatus)
-	c.handler = c.authenticate(mux)
-	if opt.Wire != "http" {
-		// The binary upgrade endpoint mounts outside the shared-secret
-		// middleware: its authentication is in-band (the HELLO frame
-		// carries the secret digest, checked in constant time before any
-		// protocol state is touched), and hijacked connections cannot use
-		// HTTP status codes anyway.
-		outer := http.NewServeMux()
-		outer.HandleFunc("POST /dist/wire", c.handleWire)
-		outer.Handle("/", c.handler)
-		c.handler = outer
-	}
+	// The wire upgrade endpoint mounts outside the shared-secret
+	// middleware: its authentication is in-band (the HELLO frame carries
+	// the secret digest, checked in constant time before any protocol state
+	// is touched), and hijacked connections cannot use HTTP status codes
+	// anyway.
+	outer := http.NewServeMux()
+	outer.HandleFunc("POST /dist/wire", c.handleWire)
+	outer.Handle("/", c.authenticate(mux))
+	c.handler = outer
 	return c
 }
 
-// Handler returns the HTTP handler serving the job protocol; mount it on
-// any server (the bashsim CLI serves it via Serve, tests use httptest).
-// When Options.Secret is set, every request — status included — must carry
-// it in the X-Bashsim-Secret header or is rejected with 401; the binary
-// upgrade at POST /dist/wire instead authenticates in-band via its HELLO
-// frame. Mounting on a server that does not go through Serve works, but
-// leaves the socket-level byte counters at zero.
+// Handler returns the HTTP handler serving the job protocol: the wire
+// upgrade at POST /dist/wire, plus GET /dist/status and POST /dist/submit.
+// Mount it on any server (the bashsim CLI serves it via Serve, tests use
+// httptest). When Options.Secret is set, the status and submit requests
+// must carry it in the X-Bashsim-Secret header or are rejected with 401;
+// the wire upgrade instead authenticates in-band via its HELLO frame.
+// Mounting on a server that does not go through Serve works, but leaves
+// the socket-level byte counters at zero.
 func (c *Coordinator) Handler() http.Handler { return c.handler }
 
-// Serve accepts connections on l and serves the protocol — HTTP/JSON and,
-// unless Wire == "http", the binary framed upgrade — until l closes. Every
-// connection is wrapped in a byte counter feeding Stats.BytesIn/BytesOut,
-// so HTTP header overhead and binary frames are measured at the same place:
-// the socket.
+// Serve accepts connections on l and serves the protocol until l closes.
+// Every connection is wrapped in a byte counter feeding
+// Stats.BytesIn/BytesOut, so upgrade headers, wire frames, and status
+// requests are measured at the same place: the socket.
 func (c *Coordinator) Serve(l net.Listener) error {
 	return c.ServeHandler(l, c.handler)
 }
@@ -265,8 +257,8 @@ func (c *Coordinator) ServeHandler(l net.Listener, h http.Handler) error {
 }
 
 // countingListener wraps accepted connections in socket-level byte
-// counters. Hijacked (binary) connections keep the wrapper, so the counters
-// see both transports uniformly.
+// counters. Hijacked (wire) connections keep the wrapper, so the counters
+// see their frames too.
 type countingListener struct {
 	net.Listener
 	c *Coordinator
@@ -304,10 +296,9 @@ func (c *Coordinator) authenticate(next http.Handler) http.Handler {
 	if c.opt.Secret == "" {
 		return next
 	}
-	want := sha256.Sum256([]byte(c.opt.Secret))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		got := sha256.Sum256([]byte(r.Header.Get(secretHeader)))
-		if subtle.ConstantTimeCompare(want[:], got[:]) != 1 {
+		if !secretDigestOK(c.opt.Secret, got[:]) {
 			http.Error(w, "unauthorized: bad or missing "+secretHeader+" header (shared secret mismatch)",
 				http.StatusUnauthorized)
 			return
@@ -388,8 +379,8 @@ func (c *Coordinator) registerWorkerLocked(name, peer string, now time.Time) {
 // runner.Map: the lowest-indexed failed job wins, worker panics surface as
 // *runner.PanicError with the job's label and remote stack, and on
 // cancellation the partial results are still returned. With
-// Options.CoExecute > 0, loopback worker slots run in-process for the
-// duration of the call, so the batch drains even with no external workers.
+// Options.CoExecute > 0, worker slots run in-process for the duration of
+// the call, so the batch drains even with no external workers.
 // Concurrent Runs are safe: each gets its own batch, their jobs interleave
 // in the shared queue, and the fleet drains them together.
 func (c *Coordinator) Run(jobs []runner.Job, opt runner.Options) ([][]byte, error) {
@@ -401,13 +392,12 @@ func (c *Coordinator) Run(jobs []runner.Job, opt runner.Options) ([][]byte, erro
 // priorities drain FIFO. Leases already held are never preempted.
 func (c *Coordinator) RunPriority(jobs []runner.Job, opt runner.Options, priority int) ([][]byte, error) {
 	b := &batch{
-		jobs:      make([]*trackedJob, len(jobs)),
-		results:   make([][]byte, len(jobs)),
-		errs:      make([]error, len(jobs)),
-		remaining: len(jobs),
-		priority:  priority,
-		progress:  opt.Progress,
-		done:      make(chan struct{}),
+		jobs:     make([]*trackedJob, len(jobs)),
+		results:  make([][]byte, len(jobs)),
+		errs:     make([]error, len(jobs)),
+		priority: priority,
+		progress: opt.Progress,
+		done:     make(chan struct{}),
 	}
 	if len(jobs) == 0 {
 		return b.results, nil
@@ -477,14 +467,15 @@ wait:
 	return b.results, nil
 }
 
-// acquireCoExecution refcounts the in-process loopback worker (a no-op
-// closure when CoExecute is 0 or no executors are registered): the first
-// active Run starts it, the last one's release cancels it, and concurrent
-// Runs in between share it — a sweep service with N queued sweeps runs
-// CoExecute loopback slots total, not N stacks of them. The loopback worker
-// speaks the full wire protocol against the coordinator's own handler —
-// auth, batched leases, heartbeats, streamed results — so every hardening
-// test that covers external workers covers it too.
+// acquireCoExecution refcounts the in-process worker (a no-op closure when
+// CoExecute is 0 or no executors are registered): the first active Run
+// starts it, the last one's release cancels it, and concurrent Runs in
+// between share it — a sweep service with N queued sweeps runs CoExecute
+// slots total, not N stacks of them. The worker speaks the full wire
+// protocol over an in-memory pipe into the same frame dispatcher remote
+// workers reach through /dist/wire — auth, batched leases, heartbeats,
+// streamed results — so every hardening test that covers external workers
+// covers it too.
 func (c *Coordinator) acquireCoExecution() (release func()) {
 	if c.opt.CoExecute <= 0 || len(runner.Kinds()) == 0 {
 		return func() {}
@@ -492,19 +483,18 @@ func (c *Coordinator) acquireCoExecution() (release func()) {
 	c.coMu.Lock()
 	c.coRuns++
 	if c.coRuns == 1 {
-		loopCtx, cancel := context.WithCancel(context.Background())
+		coCtx, cancel := context.WithCancel(context.Background())
 		c.coCancel = cancel
 		go func() {
 			// Errors other than cancellation (e.g. a future kindless start)
 			// only disable co-execution; external workers still drain the run.
-			RunWorker(loopCtx, WorkerOptions{
-				Coordinator: "http://loopback",
+			runWorker(coCtx, WorkerOptions{
+				Coordinator: "in-process",
 				Name:        "coordinator",
 				Slots:       c.opt.CoExecute,
 				Secret:      c.opt.Secret,
 				Poll:        50 * time.Millisecond,
-				Client:      &http.Client{Transport: loopbackTransport{h: c.handler}},
-			})
+			}, c.pipeConnect)
 		}()
 	}
 	c.coMu.Unlock()
@@ -513,7 +503,9 @@ func (c *Coordinator) acquireCoExecution() (release func()) {
 	// canceled (or even a completed) Run hostage for up to one full cell.
 	// Canceled slots stop heartbeating at once (their leases expire and
 	// reassign), finish the cell they are on, post nothing, and exit; a
-	// straggler's late duplicate is dropped like any other.
+	// straggler's late duplicate is dropped like any other. Once every slot
+	// has exited the worker closes its transport, and with it both pipe
+	// ends.
 	return func() {
 		c.coMu.Lock()
 		c.coRuns--
@@ -648,10 +640,10 @@ func (c *Coordinator) reclaimExpiredLocked(now time.Time) progressNotes {
 	return notes
 }
 
-// finishLocked records a job's terminal result (value or error), closes the
-// batch when it was the last one, and returns the new completion count for
-// the caller to report via notifyProgress after releasing the coordinator
-// mutex (zero when the job was already finished or the batch abandoned).
+// finishLocked records a job's terminal result (value or error) and returns
+// the new completion count for the caller to report via notifyProgress
+// after releasing the coordinator mutex (zero when the job was already
+// finished or the batch abandoned); reporting the last one releases Run.
 func (c *Coordinator) finishLocked(b *batch, tj *trackedJob, result []byte, err error) int {
 	if b.closed || tj.state == jobDone {
 		return 0
@@ -664,11 +656,7 @@ func (c *Coordinator) finishLocked(b *batch, tj *trackedJob, result []byte, err 
 	} else {
 		c.failed.Add(1)
 	}
-	b.remaining--
 	b.completed++
-	if b.remaining == 0 {
-		close(b.done)
-	}
 	return b.completed
 }
 
@@ -800,9 +788,8 @@ func leasedJobs(grants []*trackedJob) []leasedJob {
 	return jobs
 }
 
-// leaseRPC is the transport-independent lease handler: the JSON endpoint
-// and the binary LEASE frame both land here. An empty Jobs slice means "no
-// work right now" (HTTP surfaces it as 204, the wire as an empty GRANT).
+// leaseRPC answers one LEASE frame. An empty Jobs slice means "no work
+// right now" (an empty GRANT on the wire).
 func (c *Coordinator) leaseRPC(req leaseRequest) leaseResponse {
 	kinds := kindSet(req.Kinds)
 	now := time.Now()
@@ -826,7 +813,7 @@ func (c *Coordinator) leaseRPC(req leaseRequest) leaseResponse {
 	return resp
 }
 
-// heartbeatRPC extends the worker's named leases (shared by transports).
+// heartbeatRPC extends the worker's named leases (a HEARTBEAT frame).
 func (c *Coordinator) heartbeatRPC(req heartbeatRequest) heartbeatResponse {
 	now := time.Now()
 	c.mu.Lock()
@@ -842,9 +829,9 @@ func (c *Coordinator) heartbeatRPC(req heartbeatRequest) heartbeatResponse {
 	return resp
 }
 
-// resultRPC records one job's outcome and serves any requested refill
-// (shared by transports).
-func (c *Coordinator) resultRPC(req resultRequest) resultResponse {
+// resultRPC records one job's outcome (a RESULT frame) and serves any
+// requested refill.
+func (c *Coordinator) resultRPC(req resultRequest) leaseResponse {
 	// Fold the worker's fetch-path delta counters into the exchange totals
 	// (direct fetches and peer puts never touch the coordinator's socket,
 	// so this is the only place it learns about them).
@@ -894,7 +881,7 @@ func (c *Coordinator) resultRPC(req resultRequest) resultResponse {
 	// A result for an unknown job (lease expired and completed elsewhere,
 	// or batch canceled) is acknowledged and dropped: results are
 	// content-addressed, so duplicates are interchangeable.
-	resp := resultResponse{Done: pdone, Total: ptotal}
+	resp := leaseResponse{Done: pdone, Total: ptotal}
 	if len(grants) > 0 {
 		c.refills.Add(uint64(len(grants)))
 		c.observeGrant(len(grants))
@@ -903,62 +890,6 @@ func (c *Coordinator) resultRPC(req resultRequest) resultResponse {
 		resp.LeaseMillis = c.opt.leaseTTL().Milliseconds()
 	}
 	return resp
-}
-
-func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req leaseRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp := c.leaseRPC(req)
-	if len(resp.Jobs) == 0 {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req heartbeatRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	writeJSON(w, c.heartbeatRPC(req))
-}
-
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	var req resultRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	writeJSON(w, c.resultRPC(req))
-}
-
-func (c *Coordinator) handleAdvert(w http.ResponseWriter, r *http.Request) {
-	var req advertRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if int64(len(req.Bits)) > maxFilterBytes || req.M > maxFilterBytes*8 ||
-		req.K < 1 || req.K > maxFilterHashes || len(req.Bits) != int(req.M+7)/8 {
-		http.Error(w, "bad request: malformed indicator geometry", http.StatusBadRequest)
-		return
-	}
-	// Budget accounting charges the HTTP body size (headers are fallback
-	// overhead the binary transport doesn't pay).
-	wireBytes := int(r.ContentLength)
-	if wireBytes < 0 {
-		wireBytes = len(req.Bits)
-	}
-	writeJSON(w, c.advertRPC(req, wireBytes))
-}
-
-func (c *Coordinator) handleFetch(w http.ResponseWriter, r *http.Request) {
-	var req fetchRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	writeJSON(w, c.fetchRPC(r.Context(), req))
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -1028,7 +959,7 @@ func (c *Coordinator) statusSnapshot() StatusSnapshot {
 }
 
 // Closed-connection retention: /dist/status keeps a short history of dead
-// binary connections (final counters, Closed=true) so a post-mortem can see
+// wire connections (final counters, Closed=true) so a post-mortem can see
 // what a departed worker moved — but bounded by count and age, so a
 // week-long sweep service with churning workers never grows its status
 // payload or status-page table without limit.
@@ -1056,8 +987,9 @@ func (c *Coordinator) gcClosedConnsLocked(now time.Time) {
 }
 
 // retireWireConn moves a dying connection from the live table to the
-// bounded closed history.
+// bounded closed history and drops the indicator it advertised.
 func (c *Coordinator) retireWireConn(wc *wireConn) {
+	c.exch.forget(wc.worker, wc)
 	st := wc.status()
 	st.Closed = true
 	now := time.Now()
@@ -1088,9 +1020,9 @@ func (c *Coordinator) WriteStatus(w io.Writer) error {
 	return enc.Encode(c.statusSnapshot())
 }
 
-// maxBody bounds request bodies; specs are small (a cell config is well
-// under a kilobyte) but results may carry full reports.
-const maxBody = 64 << 20
+// maxBody bounds request bodies: a submission is an experiment id, a
+// scale, a priority, and at most a few thousand seeds.
+const maxBody = 1 << 20
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v); err != nil {

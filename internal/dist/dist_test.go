@@ -1,7 +1,7 @@
 package dist_test
 
 // End-to-end distributed-sweep tests: an in-process coordinator with real
-// HTTP workers runs actual experiment sweeps and must reproduce the
+// wire-connected workers runs actual experiment sweeps and must reproduce the
 // goroutine backend byte for byte — including after a worker dies mid-sweep
 // and after an interrupted run resumes from the shared cell store.
 
@@ -91,7 +91,7 @@ func TestDistSweepByteIdentical(t *testing.T) {
 
 // TestDistSweepRecycledMatchesNoRecycle: the hot-path free lists (packet,
 // message, line/txn and directory-entry recycling — enabled by default on
-// every worker) change nothing: a sweep fanned across two real HTTP workers
+// every worker) change nothing: a sweep fanned across two real workers
 // running fully recycled simulations reproduces, byte for byte, an
 // in-process sweep that allocates every record fresh (Options.NoRecycle).
 // Not skipped in -short so the CI race job exercises the recycled path
@@ -113,9 +113,9 @@ func TestDistSweepRecycledMatchesNoRecycle(t *testing.T) {
 }
 
 // TestDistSweepHardenedByteIdentical: the full hardened path — shared-
-// secret auth over the binary wire transport, batched leases with
-// result-reply refills, and coordinator co-execution racing two real
-// workers — still reproduces the serial in-process TSV byte for byte, and
+// secret auth on every wire connection, batched leases with result-reply
+// refills, and coordinator co-execution over its in-memory pipe racing two
+// real workers — still reproduces the serial in-process TSV byte for byte, and
 // batching collapses the protocol's round-trips: at least 4x fewer leases
 // than cells.
 func TestDistSweepHardenedByteIdentical(t *testing.T) {
@@ -143,7 +143,6 @@ func TestDistSweepHardenedByteIdentical(t *testing.T) {
 			Name:        fmt.Sprintf("worker-%d", i),
 			Poll:        10 * time.Millisecond,
 			Secret:      "hardened-sweep",
-			Wire:        "binary",
 		})
 	}
 
@@ -164,10 +163,10 @@ func TestDistSweepHardenedByteIdentical(t *testing.T) {
 	if st.Refills == 0 {
 		t.Error("Refills = 0: result replies never refilled a batch")
 	}
-	// The external workers forced the binary wire, so frames must have
-	// flowed (socket byte counters stay 0 under httptest — no Serve).
+	// Frames must have flowed (socket byte counters stay 0 under httptest —
+	// no Serve).
 	if st.FramesIn == 0 || st.FramesOut == 0 {
-		t.Errorf("frame counters = %d in / %d out, want both > 0 (binary wire unused)", st.FramesIn, st.FramesOut)
+		t.Errorf("frame counters = %d in / %d out, want both > 0", st.FramesIn, st.FramesOut)
 	}
 }
 

@@ -1,10 +1,10 @@
 package dist
 
 // Coordinator side of the peer cell exchange: the per-worker indicator
-// table fed by ADVERT frames (or POST /dist/advert), the likely-holder
-// hints piggybacked on grants, and the FETCH routing that serves raw cell
-// entries from the coordinator's own store or relays the request down an
-// advertised holder's live wire connection. Everything here is advisory
+// table fed by ADVERT frames, the likely-holder hints piggybacked on
+// grants, and the FETCH routing that serves raw cell entries from the
+// coordinator's own store or relays the request down an advertised
+// holder's live wire connection. Everything here is advisory
 // bookkeeping around the content-addressed store: a wrong hint or a stale
 // indicator costs a round-trip or a redundant simulation, never a wrong
 // result, because the requester verifies every fetched entry against its
@@ -25,11 +25,16 @@ import (
 // a hung holder cannot stall a fetch behind it for long.
 const relayTimeout = 3 * time.Second
 
-// indicatorEntry is one worker's last applied indicator.
+// indicatorEntry is one worker's last applied indicator. It lives exactly
+// as long as the wire connection that advertised it: a worker re-advertises
+// only when its store changes, so an idle holder's entry must not age out
+// while it is still connected, and a departed holder's entry must go with
+// its connection.
 type indicatorEntry struct {
 	filter *cellFilter
 	gen    uint64
-	when   time.Time
+	when   time.Time // last applied advert: orders holders freshest first
+	conn   *wireConn // the advertising connection; its retirement drops the entry
 }
 
 // exchange is the coordinator's indicator table plus exchange counters.
@@ -50,39 +55,48 @@ func newExchange(cacheDir string) *exchange {
 	return &exchange{store: cellstore.For(cacheDir), table: map[string]*indicatorEntry{}}
 }
 
-// noteAdvert applies one advertisement. wireBytes is the on-wire payload
-// size (post-compression for binary frames), which is what the
-// advert-budget accounting reports. A delta applies only when the worker's
-// previous filter has the same geometry and the generation is exactly the
-// successor; anything else asks for a full resend — on the binary
-// transport that cannot happen (frames on one connection are ordered and
-// every new connection opens with a full send), on HTTP it recovers from
-// lost requests and coordinator restarts.
-func (x *exchange) noteAdvert(req advertRequest, wireBytes int) advertResponse {
+// noteAdvert applies one advertisement received on conn and reports
+// whether it applied. wireBytes is the on-wire payload size
+// (post-compression), which is what the advert-budget accounting reports.
+// A full filter replaces the worker's entry and binds it to conn. A delta
+// applies only on the connection that owns the entry, with the same
+// geometry, and with exactly the successor generation; frames on one
+// connection are ordered and every connection opens with a full send, so
+// a refused delta means a confused or hostile sender and is dropped.
+func (x *exchange) noteAdvert(req advertRequest, wireBytes int, conn *wireConn) bool {
 	x.adverts.Add(1)
 	x.advertBytes.Add(uint64(wireBytes))
 	f := &cellFilter{m: req.M, k: req.K, bits: req.Bits}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if req.Full {
-		x.table[req.Worker] = &indicatorEntry{filter: f.clone(), gen: req.Gen, when: time.Now()}
-		return advertResponse{}
+		x.table[req.Worker] = &indicatorEntry{filter: f.clone(), gen: req.Gen, when: time.Now(), conn: conn}
+		return true
 	}
 	prev := x.table[req.Worker]
-	if prev == nil || req.Gen != prev.gen+1 || !prev.filter.sameShape(f) {
-		return advertResponse{NeedFull: true}
+	if prev == nil || prev.conn != conn || req.Gen != prev.gen+1 || !prev.filter.sameShape(f) {
+		return false
 	}
 	prev.filter.applyDelta(req.Bits)
 	prev.gen = req.Gen
 	prev.when = time.Now()
-	return advertResponse{}
+	return true
 }
 
-// holders lists workers (excluding the requester) whose fresh indicators
-// claim key, most recently advertised first. Entries older than the
-// liveness window are dropped — a departed worker's indicator must not
-// route fetches forever.
-func (x *exchange) holders(requester, key string, window time.Duration, now time.Time) []string {
+// forget drops worker's indicator when conn still owns it. A reconnect's
+// full advert on a newer connection may land before the old connection is
+// retired; that entry stays.
+func (x *exchange) forget(worker string, conn *wireConn) {
+	x.mu.Lock()
+	if e := x.table[worker]; e != nil && e.conn == conn {
+		delete(x.table, worker)
+	}
+	x.mu.Unlock()
+}
+
+// holders lists workers (excluding the requester) whose indicators claim
+// key, most recently advertised first.
+func (x *exchange) holders(requester, key string) []string {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	type cand struct {
@@ -91,10 +105,6 @@ func (x *exchange) holders(requester, key string, window time.Duration, now time
 	}
 	var cands []cand
 	for name, e := range x.table {
-		if now.Sub(e.when) > window {
-			delete(x.table, name)
-			continue
-		}
 		if name == requester || !e.filter.contains(key) {
 			continue
 		}
@@ -115,35 +125,31 @@ func (x *exchange) holders(requester, key string, window time.Duration, now time
 }
 
 // likelyHeld is the grant-hint predicate: the coordinator's own store has
-// the key, or some other worker's fresh indicator claims it. A worker
+// the key, or some other worker's indicator claims it. A worker
 // whose hint is false skips the fetch round-trip entirely (nobody claims
 // the cell, so fetching could only waste the advert budget's savings); a
 // false positive here costs one failed fetch before simulating.
-func (x *exchange) likelyHeld(requester, key string, window time.Duration, now time.Time) bool {
+func (x *exchange) likelyHeld(requester, key string) bool {
 	if x.store != nil && x.store.Contains(key) {
 		return true
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	for name, e := range x.table {
-		if name == requester || now.Sub(e.when) > window {
-			continue
-		}
-		if e.filter.contains(key) {
+		if name != requester && e.filter.contains(key) {
 			return true
 		}
 	}
 	return false
 }
 
-// advertRPC records one worker's advertisement (transport-independent; the
-// JSON endpoint and the binary ADVERT frame both land here). Adverts count
-// as worker contact, like every other protocol action.
-func (c *Coordinator) advertRPC(req advertRequest, wireBytes int) advertResponse {
+// advertRPC records one worker's ADVERT frame, received on conn. Adverts
+// count as worker contact, like every other protocol action.
+func (c *Coordinator) advertRPC(req advertRequest, wireBytes int, conn *wireConn) {
 	c.mu.Lock()
 	c.registerWorkerLocked(req.Worker, "", time.Now())
 	c.mu.Unlock()
-	return c.exch.noteAdvert(req, wireBytes)
+	c.exch.noteAdvert(req, wireBytes, conn)
 }
 
 // maxGrantAddrs caps how many holder and owner peer addresses ride on one
@@ -157,12 +163,10 @@ const maxGrantAddrs = 2
 // Contains stats the store's filesystem and the indicator table has its own
 // lock (the peer-address snapshot re-takes c.mu briefly).
 func (c *Coordinator) annotateHints(worker string, jobs []leasedJob) {
-	window := workerTTLFactor * c.opt.leaseTTL()
-	now := time.Now()
 	for i := range jobs {
-		jobs[i].Held = c.exch.likelyHeld(worker, jobs[i].Key, window, now)
+		jobs[i].Held = c.exch.likelyHeld(worker, jobs[i].Key)
 	}
-	c.annotatePeers(worker, jobs, window, now)
+	c.annotatePeers(worker, jobs)
 }
 
 // annotatePeers fills each job's Holders (advertised holders with a peer
@@ -170,7 +174,7 @@ func (c *Coordinator) annotateHints(worker string, jobs []leasedJob) {
 // addresses, for replication pushes). Both lists exclude the leased worker
 // and workers without a peer listener; with no peer listeners registered
 // anywhere the grant shape is exactly the v4 one.
-func (c *Coordinator) annotatePeers(worker string, jobs []leasedJob, window time.Duration, now time.Time) {
+func (c *Coordinator) annotatePeers(worker string, jobs []leasedJob) {
 	c.mu.Lock()
 	if len(c.peerAddrs) == 0 {
 		c.mu.Unlock()
@@ -188,7 +192,7 @@ func (c *Coordinator) annotatePeers(worker string, jobs []leasedJob, window time
 
 	for i := range jobs {
 		if jobs[i].Held {
-			for _, h := range c.exch.holders(worker, jobs[i].Key, window, now) {
+			for _, h := range c.exch.holders(worker, jobs[i].Key) {
 				if a := addrs[h]; a != "" {
 					jobs[i].Holders = append(jobs[i].Holders, a)
 					if len(jobs[i].Holders) == maxGrantAddrs {
@@ -228,8 +232,7 @@ func (c *Coordinator) fetchRPC(ctx context.Context, req fetchRequest) fetchRespo
 			return fetchResponse{Found: true, Raw: raw}
 		}
 	}
-	window := workerTTLFactor * c.opt.leaseTTL()
-	for _, holder := range x.holders(req.Worker, req.Key, window, time.Now()) {
+	for _, holder := range x.holders(req.Worker, req.Key) {
 		wc := c.wireConnFor(holder)
 		if wc == nil {
 			continue
@@ -248,9 +251,8 @@ func (c *Coordinator) fetchRPC(ctx context.Context, req fetchRequest) fetchRespo
 	return fetchResponse{}
 }
 
-// wireConnFor returns some live binary connection belonging to worker (nil
-// when the worker is not currently wire-connected — its HTTP fallback or a
-// reconnect gap; the fetch then tries the next holder).
+// wireConnFor returns some live wire connection belonging to worker (nil
+// in a reconnect gap; the fetch then tries the next holder).
 func (c *Coordinator) wireConnFor(worker string) *wireConn {
 	c.wireMu.Lock()
 	defer c.wireMu.Unlock()

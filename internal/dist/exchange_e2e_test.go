@@ -7,10 +7,7 @@ package dist_test
 // asserted with the sweep TSV byte-identical to the serial run.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -60,7 +57,7 @@ func TestDistColdWorkerFetchesEverything(t *testing.T) {
 	// so it advertises its store and answers relayed fetches, nothing else.
 	go dist.RunWorker(ctx, dist.WorkerOptions{
 		Coordinator: srv.URL, Name: "warm", Poll: 50 * time.Millisecond,
-		Wire: "binary", CacheDir: warm, AdvertInterval: 20 * time.Millisecond,
+		CacheDir: warm, AdvertInterval: 20 * time.Millisecond,
 		Kinds: []string{"exchange.holder-only"},
 	})
 	waitForAdverts(t, coord, 1)
@@ -69,7 +66,7 @@ func TestDistColdWorkerFetchesEverything(t *testing.T) {
 	// executor's fetch path is its transport.
 	go dist.RunWorker(ctx, dist.WorkerOptions{
 		Coordinator: srv.URL, Name: "cold", Poll: 10 * time.Millisecond,
-		Wire: "binary", CacheDir: cold, AdvertInterval: 20 * time.Millisecond,
+		CacheDir: cold, AdvertInterval: 20 * time.Millisecond,
 	})
 
 	experiments.ResetMemo()
@@ -117,30 +114,13 @@ func TestDistFalsePositiveFallsBackToSimulation(t *testing.T) {
 
 	// Phantom advert: 64 set bits claim every possible key. No connection
 	// backs the name, so routing finds no holder and every fetch misses.
-	ones := make([]byte, 8)
-	for i := range ones {
-		ones[i] = 0xFF
-	}
-	body, err := json.Marshal(map[string]any{
-		"worker": "phantom", "gen": 1, "full": true, "m": 64, "k": 2, "bits": ones,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+"/dist/advert", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("phantom advert: status %d", resp.StatusCode)
-	}
+	coord.AdvertEverything("phantom")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go dist.RunWorker(ctx, dist.WorkerOptions{
 		Coordinator: srv.URL, Name: "duped", Poll: 10 * time.Millisecond,
-		Wire: "binary", CacheDir: cold,
+		CacheDir: cold,
 	})
 
 	experiments.ResetMemo()

@@ -3,17 +3,19 @@ package dist
 // Tests for the peer cell exchange: the Bloom indicator itself, the
 // coordinator's advert table and budget adaptation, fetch routing from the
 // coordinator's store, relay routing through an advertised holder's wire
-// connection, and the false-positive fallback. Where a store is needed the
+// connection, the false-positive fallback, and indicator lifetime (bound
+// to the advertising connection). Where a store is needed the
 // tests use real cellstore directories — the exchange's fail-closed
 // verification is exactly the envelope check these produce.
 
 import (
+	"context"
 	"fmt"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/cellstore"
+	"repro/internal/dist/wire"
 )
 
 // --- indicator ----------------------------------------------------------
@@ -96,50 +98,61 @@ func TestBudgetAdaptation(t *testing.T) {
 func TestNoteAdvertFullDeltaAndGaps(t *testing.T) {
 	x := newExchange("")
 	f := buildFilter([]string{"k1", "k2"}, defaultBitsPerKey)
+	conn := &wireConn{worker: "w"}
 
 	// A delta with no prior full must be refused.
-	if resp := x.noteAdvert(advertRequest{Worker: "w", Gen: 1, M: f.m, K: f.k, Bits: f.bits}, 10); !resp.NeedFull {
+	if x.noteAdvert(advertRequest{Worker: "w", Gen: 1, M: f.m, K: f.k, Bits: f.bits}, 10, conn) {
 		t.Fatal("delta without a prior full filter was accepted")
 	}
-	if resp := x.noteAdvert(advertRequest{Worker: "w", Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits}, 10); resp.NeedFull {
+	if !x.noteAdvert(advertRequest{Worker: "w", Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits}, 10, conn) {
 		t.Fatal("full advert refused")
 	}
-	window, now := time.Minute, time.Now()
-	if !x.likelyHeld("other", "k1", window, now) {
+	if !x.likelyHeld("other", "k1") {
 		t.Fatal("advertised key not reported held")
 	}
-	if x.likelyHeld("w", "k1", window, now) {
+	if x.likelyHeld("w", "k1") {
 		t.Fatal("a worker's own indicator satisfied its hint (it would fetch from itself)")
 	}
 
-	// A gen-successor, same-shape delta applies.
+	// A gen-successor, same-shape delta on the owning connection applies.
 	grown := f.clone()
 	grown.add("k3")
-	if resp := x.noteAdvert(advertRequest{Worker: "w", Gen: 2, M: f.m, K: f.k, Bits: grown.xor(f)}, 10); resp.NeedFull {
+	if !x.noteAdvert(advertRequest{Worker: "w", Gen: 2, M: f.m, K: f.k, Bits: grown.xor(f)}, 10, conn) {
 		t.Fatal("successor delta refused")
 	}
-	if !x.likelyHeld("other", "k3", window, now) {
+	if !x.likelyHeld("other", "k3") {
 		t.Fatal("delta-advertised key not reported held")
 	}
 
-	// A generation gap (lost advert) must demand a full resend.
-	if resp := x.noteAdvert(advertRequest{Worker: "w", Gen: 4, M: f.m, K: f.k, Bits: grown.bits}, 10); !resp.NeedFull {
+	// A delta from a connection that does not own the entry is refused, and
+	// so is a generation gap.
+	if x.noteAdvert(advertRequest{Worker: "w", Gen: 3, M: f.m, K: f.k, Bits: grown.xor(f)}, 10, &wireConn{worker: "w"}) {
+		t.Fatal("delta from a foreign connection accepted")
+	}
+	if x.noteAdvert(advertRequest{Worker: "w", Gen: 4, M: f.m, K: f.k, Bits: grown.bits}, 10, conn) {
 		t.Fatal("generation gap accepted as a delta")
 	}
 
-	// Stale indicators neither hint nor route.
-	if x.likelyHeld("other", "k1", time.Nanosecond, now.Add(time.Hour)) {
-		t.Fatal("stale indicator satisfied a hint")
+	// Retiring a connection that does not own the entry leaves it (a
+	// reconnect's fresh advert survives the old connection's teardown);
+	// retiring the owner drops it, and it neither hints nor routes.
+	x.forget("w", &wireConn{worker: "w"})
+	if !x.likelyHeld("other", "k1") {
+		t.Fatal("a foreign connection's retirement dropped the indicator")
 	}
-	if hs := x.holders("other", "k1", time.Nanosecond, now.Add(time.Hour)); len(hs) != 0 {
-		t.Fatalf("stale indicator routed: holders = %v", hs)
+	x.forget("w", conn)
+	if x.likelyHeld("other", "k1") {
+		t.Fatal("retired connection's indicator satisfied a hint")
+	}
+	if hs := x.holders("other", "k1"); len(hs) != 0 {
+		t.Fatalf("retired connection's indicator routed: holders = %v", hs)
 	}
 
-	if got := x.adverts.Load(); got != 4 {
-		t.Errorf("adverts counter = %d, want 4", got)
+	if got := x.adverts.Load(); got != 5 {
+		t.Errorf("adverts counter = %d, want 5", got)
 	}
-	if got := x.advertBytes.Load(); got != 40 {
-		t.Errorf("advertBytes counter = %d, want 40", got)
+	if got := x.advertBytes.Load(); got != 50 {
+		t.Errorf("advertBytes counter = %d, want 50", got)
 	}
 }
 
@@ -147,17 +160,17 @@ func TestHoldersFreshestFirst(t *testing.T) {
 	x := newExchange("")
 	f := buildFilter([]string{"k"}, defaultBitsPerKey)
 	for i, w := range []string{"old", "mid", "new"} {
-		x.noteAdvert(advertRequest{Worker: w, Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits}, 1)
+		x.noteAdvert(advertRequest{Worker: w, Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits}, 1, nil)
 		x.mu.Lock()
 		// Stamp explicit recency (noteAdvert uses wall-clock now).
 		x.table[w].when = time.Now().Add(time.Duration(i) * time.Second)
 		x.mu.Unlock()
 	}
-	hs := x.holders("requester", "k", time.Hour, time.Now())
+	hs := x.holders("requester", "k")
 	if len(hs) != 3 || hs[0] != "new" || hs[2] != "old" {
 		t.Fatalf("holders = %v, want [new mid old]", hs)
 	}
-	if hs := x.holders("new", "k", time.Hour, time.Now()); len(hs) != 2 || hs[0] != "mid" {
+	if hs := x.holders("new", "k"); len(hs) != 2 || hs[0] != "mid" {
 		t.Fatalf("holders excluding requester = %v, want [mid old]", hs)
 	}
 }
@@ -188,13 +201,8 @@ func storeWith(t *testing.T, keys ...string) (string, *cellstore.Store) {
 func TestFetchServedFromCoordinatorStore(t *testing.T) {
 	dir, _ := storeWith(t, "held-key")
 	coord := NewCoordinator(CoordinatorOptions{CacheDir: dir})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
 
-	var resp fetchResponse
-	if st := postJSON(t, srv.URL+"/dist/fetch", fetchRequest{Worker: "cold", Key: "held-key"}, &resp); st != 200 {
-		t.Fatalf("fetch: HTTP %d", st)
-	}
+	resp := coord.fetchRPC(context.Background(), fetchRequest{Worker: "cold", Key: "held-key"})
 	if !resp.Found {
 		t.Fatal("coordinator store did not serve the fetch")
 	}
@@ -214,8 +222,8 @@ func TestFetchServedFromCoordinatorStore(t *testing.T) {
 	}
 
 	// A miss for an unheld key counts as a false positive.
-	if st := postJSON(t, srv.URL+"/dist/fetch", fetchRequest{Worker: "cold", Key: "nobody-has-this"}, &resp); st != 200 || resp.Found {
-		t.Fatalf("fetch of absent key: HTTP %d, found %v", st, resp.Found)
+	if resp := coord.fetchRPC(context.Background(), fetchRequest{Worker: "cold", Key: "nobody-has-this"}); resp.Found {
+		t.Fatal("fetch of absent key found something")
 	}
 	st := coord.Stats()
 	if st.Fetches != 2 || st.FetchServed != 1 || st.FetchFalsePos != 1 {
@@ -238,7 +246,7 @@ func TestFetchRelayedThroughHolder(t *testing.T) {
 	// advertises its store, and serves relays.
 	go RunWorker(ctx, WorkerOptions{
 		Coordinator: url, Name: "holder", Poll: 5 * time.Millisecond,
-		Kinds: []string{"holder.no-jobs"}, Wire: "binary",
+		Kinds:    []string{"holder.no-jobs"},
 		CacheDir: dir, AdvertInterval: 10 * time.Millisecond,
 	})
 
@@ -250,10 +258,7 @@ func TestFetchRelayedThroughHolder(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	var resp fetchResponse
-	if st := postJSON(t, url+"/dist/fetch", fetchRequest{Worker: "cold", Key: "relayed-key"}, &resp); st != 200 {
-		t.Fatalf("fetch: HTTP %d", st)
-	}
+	resp := coord.fetchRPC(context.Background(), fetchRequest{Worker: "cold", Key: "relayed-key"})
 	if !resp.Found {
 		t.Fatal("fetch was not relayed to the advertised holder")
 	}
@@ -278,33 +283,26 @@ func TestFetchFalsePositiveFallsThrough(t *testing.T) {
 	defer cancel()
 	go RunWorker(ctx, WorkerOptions{
 		Coordinator: url, Name: "braggart", Poll: 5 * time.Millisecond,
-		Kinds: []string{"holder.no-jobs"}, Wire: "binary",
+		Kinds:    []string{"holder.no-jobs"},
 		CacheDir: emptyDir, AdvertInterval: 10 * time.Millisecond,
 	})
 	deadline := time.Now().Add(5 * time.Second)
-	for coord.Workers() == 0 {
+	for coord.Stats().Adverts == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("worker never connected")
+			t.Fatal("worker never advertised")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Overwrite the worker's honest (empty) indicator with an all-claiming
-	// one via the JSON endpoint — a phantom advertisement.
+	// one — a phantom advertisement no connection owns.
 	f := buildFilter([]string{"x"}, defaultBitsPerKey)
 	for i := range f.bits {
 		f.bits[i] = 0xFF
 	}
-	var aresp advertResponse
-	if st := postJSON(t, url+"/dist/advert",
-		advertRequest{Worker: "braggart", Gen: 99, Full: true, M: f.m, K: f.k, Bits: f.bits}, &aresp); st != 200 {
-		t.Fatalf("advert: HTTP %d", st)
-	}
+	coord.advertRPC(advertRequest{Worker: "braggart", Gen: 99, Full: true, M: f.m, K: f.k, Bits: f.bits}, len(f.bits), nil)
 
-	var resp fetchResponse
-	if st := postJSON(t, url+"/dist/fetch", fetchRequest{Worker: "cold", Key: "never-simulated"}, &resp); st != 200 {
-		t.Fatalf("fetch: HTTP %d", st)
-	}
+	resp := coord.fetchRPC(context.Background(), fetchRequest{Worker: "cold", Key: "never-simulated"})
 	if resp.Found {
 		t.Fatal("empty-store holder produced a cell")
 	}
@@ -313,23 +311,80 @@ func TestFetchFalsePositiveFallsThrough(t *testing.T) {
 	}
 }
 
-// TestAdvertEndpointRejectsMalformedGeometry mirrors the binary codec's
-// strictness on the JSON path.
+// TestAdvertEndpointRejectsMalformedGeometry: an ADVERT frame whose filter
+// geometry does not hold together is a protocol violation — the sender gets
+// an ERROR frame, the connection closes, and nothing is counted.
 func TestAdvertEndpointRejectsMalformedGeometry(t *testing.T) {
 	coord := NewCoordinator(CoordinatorOptions{})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
 	bad := []advertRequest{
 		{Worker: "w", Gen: 1, Full: true, M: 128, K: 4, Bits: make([]byte, 3)},  // geometry mismatch
 		{Worker: "w", Gen: 1, Full: true, M: 64, K: 0, Bits: make([]byte, 8)},   // no hashes
 		{Worker: "w", Gen: 1, Full: true, M: 64, K: 200, Bits: make([]byte, 8)}, // absurd hashes
 	}
 	for i, req := range bad {
-		if st := postJSON(t, srv.URL+"/dist/advert", req, nil); st != 400 {
-			t.Errorf("malformed advert %d: HTTP %d, want 400", i, st)
+		_, rd, wr := pipeClient(t, coord, "w")
+		if err := wr.WriteFrame(wire.FrameAdvert, 0, 0, appendAdvert(nil, req)); err != nil {
+			t.Fatalf("malformed advert %d: write: %v", i, err)
+		}
+		if h, _, err := rd.ReadFrame(); err != nil || h.Type != wire.FrameError {
+			t.Errorf("malformed advert %d: got %s (err %v), want ERROR", i, wire.TypeName(h.Type), err)
 		}
 	}
 	if got := coord.Stats().Adverts; got != 0 {
 		t.Errorf("malformed adverts were counted: %d", got)
+	}
+}
+
+// TestIdleHolderStaysAdvertised: a holder re-advertises only when its
+// store changes, so a connected holder that sits idle for many lease TTLs
+// must keep hinting and routing, and its next delta must still apply. Its
+// indicator goes only when its connection does.
+func TestIdleHolderStaysAdvertised(t *testing.T) {
+	dir, st := storeWith(t, "a")
+	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: 100 * time.Millisecond})
+	url := serveWire(t, coord)
+	ctx, cancel := testContext(t)
+	defer cancel()
+	go RunWorker(ctx, WorkerOptions{
+		Coordinator: url, Name: "holder", Poll: 5 * time.Millisecond,
+		Kinds:    []string{"holder.no-jobs"},
+		CacheDir: dir, AdvertInterval: 10 * time.Millisecond,
+	})
+	held := func(key string) bool {
+		jobs := []leasedJob{{Key: key}}
+		coord.annotateHints("other", jobs)
+		return jobs[0].Held
+	}
+	waitHeld := func(key string, want bool) bool {
+		deadline := time.Now().Add(3 * time.Second)
+		for held(key) != want {
+			if time.Now().After(deadline) {
+				return false
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		return true
+	}
+
+	if !waitHeld("a", true) {
+		t.Fatal("holder's advert never hinted its key")
+	}
+	time.Sleep(500 * time.Millisecond) // five lease TTLs with an unchanged store
+	if !held("a") {
+		t.Error("a connected idle holder's indicator stopped hinting")
+	}
+	if resp := coord.fetchRPC(context.Background(), fetchRequest{Worker: "other", Key: "a"}); !resp.Found {
+		t.Error("a connected idle holder's cell was not relayed")
+	}
+	if err := st.Put("b", cellPayload{Name: "b"}); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if !waitHeld("b", true) {
+		t.Errorf("the holder's delta after an idle spell never applied (adverts received: %d)", coord.Stats().Adverts)
+	}
+
+	cancel()
+	if !waitHeld("a", false) {
+		t.Error("a departed holder's indicator still hints")
 	}
 }

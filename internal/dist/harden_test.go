@@ -6,52 +6,24 @@ package dist
 // coordinator co-execution. All run in -short (the CI race job).
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dist/wire"
 	"repro/internal/runner"
 )
 
-// postJSONAuth is postJSON with a shared secret attached.
-func postJSONAuth(t *testing.T, url, secret string, in, out any) int {
-	t.Helper()
-	body, err := json.Marshal(in)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("request: %v", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if secret != "" {
-		req.Header.Set(secretHeader, secret)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("post %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("decode %s: %v", url, err)
-		}
-	}
-	return resp.StatusCode
-}
-
 // TestBatchedLeaseStreamsAndRefills: one worker drains a whole batch run
-// through a single /dist/lease round-trip — the initial lease grants
+// through a single LEASE round-trip — the initial lease grants
 // LeaseBatch jobs and every streamed result's reply refills the queue —
 // with results folded correctly in job order.
 func TestBatchedLeaseStreamsAndRefills(t *testing.T) {
@@ -71,27 +43,21 @@ func TestBatchedLeaseStreamsAndRefills(t *testing.T) {
 	}()
 	waitActive(t, srv.URL)
 
-	var lease leaseResponse
-	if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "w", Kinds: []string{echoKind}}, &lease); st != http.StatusOK {
-		t.Fatalf("lease: HTTP %d", st)
-	}
+	lease := coord.leaseRPC(leaseRequest{Worker: "w", Kinds: []string{echoKind}})
 	if len(lease.Jobs) != 3 {
 		t.Fatalf("initial lease granted %d jobs, want LeaseBatch=3", len(lease.Jobs))
 	}
 	// Stream results one by one, asking for a refill with each; the queue
-	// should stay fed without ever touching /dist/lease again.
+	// should stay fed without ever sending LEASE again.
 	queue := lease.Jobs
 	for len(queue) > 0 {
 		job := queue[0]
 		queue = queue[1:]
-		var resp resultResponse
-		if st := postJSON(t, srv.URL+"/dist/result", resultRequest{
+		resp := coord.resultRPC(resultRequest{
 			Worker: "w", JobID: job.JobID,
 			Result: append([]byte("ok:"), job.Spec...),
 			Kinds:  []string{echoKind}, Refill: 1,
-		}, &resp); st != http.StatusOK {
-			t.Fatalf("result: HTTP %d", st)
-		}
+		})
 		if len(resp.Jobs) > 1 {
 			t.Fatalf("refill granted %d jobs, want at most the 1 asked for", len(resp.Jobs))
 		}
@@ -137,28 +103,21 @@ func TestLeaseShrinksNearExhaustion(t *testing.T) {
 
 	// Register a second live worker, then lease as the first: 3 pending
 	// split over 2 live workers is ceil(3/2) = 2, not the full batch of 8.
-	var hb heartbeatResponse
-	postJSON(t, srv.URL+"/dist/heartbeat", heartbeatRequest{Worker: "b"}, &hb)
-	var leaseA leaseResponse
-	if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "a", Kinds: []string{echoKind}}, &leaseA); st != http.StatusOK {
-		t.Fatalf("lease a: HTTP %d", st)
-	}
+	coord.heartbeatRPC(heartbeatRequest{Worker: "b"})
+	leaseA := coord.leaseRPC(leaseRequest{Worker: "a", Kinds: []string{echoKind}})
 	if len(leaseA.Jobs) != 2 {
 		t.Errorf("near-exhaustion lease granted %d jobs, want ceil(3 pending / 2 workers) = 2", len(leaseA.Jobs))
 	}
 	// The other worker asks with Max=1 and gets exactly one.
-	var leaseB leaseResponse
-	if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "b", Kinds: []string{echoKind}, Max: 1}, &leaseB); st != http.StatusOK {
-		t.Fatalf("lease b: HTTP %d", st)
-	}
+	leaseB := coord.leaseRPC(leaseRequest{Worker: "b", Kinds: []string{echoKind}, Max: 1})
 	if len(leaseB.Jobs) != 1 {
 		t.Errorf("Max=1 lease granted %d jobs, want 1", len(leaseB.Jobs))
 	}
 
 	for _, job := range append(append([]leasedJob(nil), leaseA.Jobs...), leaseB.Jobs...) {
-		postJSON(t, srv.URL+"/dist/result", resultRequest{
+		coord.resultRPC(resultRequest{
 			Worker: job.Label, JobID: job.JobID, Result: append([]byte("ok:"), job.Spec...),
-		}, nil)
+		})
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("Run: %v", err)
@@ -197,17 +156,14 @@ func TestWorkerDeathMidBatchReassignsOnlyUnfinished(t *testing.T) {
 
 	// The doomed worker takes the whole batch, streams back the first two
 	// results without asking for refills, and is never heard from again.
-	var lease leaseResponse
-	if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "doomed", Kinds: []string{kind}}, &lease); st != http.StatusOK {
-		t.Fatalf("doomed lease: HTTP %d", st)
-	}
+	lease := coord.leaseRPC(leaseRequest{Worker: "doomed", Kinds: []string{kind}})
 	if len(lease.Jobs) != 4 {
 		t.Fatalf("doomed lease granted %d jobs, want the whole batch of 4", len(lease.Jobs))
 	}
 	for _, job := range lease.Jobs[:2] {
-		postJSON(t, srv.URL+"/dist/result", resultRequest{
+		coord.resultRPC(resultRequest{
 			Worker: "doomed", JobID: job.JobID, Result: append([]byte("doomed:"), job.Spec...),
-		}, nil)
+		})
 	}
 
 	ctx, cancel := testContext(t)
@@ -235,8 +191,10 @@ func TestWorkerDeathMidBatchReassignsOnlyUnfinished(t *testing.T) {
 	}
 }
 
-// TestAuthRejectsWrongSecret: with a coordinator secret set, every endpoint
-// rejects missing or wrong secrets with 401 and untouched state, and a
+// TestAuthRejectsWrongSecret: with a coordinator secret set, a wire
+// connection whose HELLO carries a missing or wrong secret is refused with
+// an auth-flagged ERROR frame, the HTTP surfaces (/dist/status,
+// /dist/submit) answer 401, nothing touches coordinator state, and a
 // worker started with the wrong secret exits with a descriptive *AuthError
 // instead of polling forever.
 func TestAuthRejectsWrongSecret(t *testing.T) {
@@ -245,14 +203,36 @@ func TestAuthRejectsWrongSecret(t *testing.T) {
 	defer srv.Close()
 
 	for _, secret := range []string{"", "wrong", "s3cret-but-longer"} {
-		if st := postJSONAuth(t, srv.URL+"/dist/lease", secret, leaseRequest{Worker: "w", Kinds: []string{echoKind}}, nil); st != http.StatusUnauthorized {
-			t.Errorf("lease with secret %q: HTTP %d, want 401", secret, st)
+		conn, r, err := coord.pipeConnect(context.Background())
+		if err != nil {
+			t.Fatalf("pipe: %v", err)
 		}
-		if st := postJSONAuth(t, srv.URL+"/dist/heartbeat", secret, heartbeatRequest{Worker: "w"}, nil); st != http.StatusUnauthorized {
-			t.Errorf("heartbeat with secret %q: HTTP %d, want 401", secret, st)
+		if err := writeHello(wire.NewWriter(conn), "w", secret, ""); err != nil {
+			t.Fatalf("hello: %v", err)
 		}
-		if st := postJSONAuth(t, srv.URL+"/dist/result", secret, resultRequest{Worker: "w", JobID: 1}, nil); st != http.StatusUnauthorized {
-			t.Errorf("result with secret %q: HTTP %d, want 401", secret, st)
+		h, _, err := wire.NewReader(r).ReadFrame()
+		conn.Close()
+		if err != nil || h.Type != wire.FrameError || h.Flags&wire.FlagAuthFailed == 0 {
+			t.Errorf("HELLO with secret %q: got %s (flags %#x, err %v), want an auth-flagged ERROR",
+				secret, wire.TypeName(h.Type), h.Flags, err)
+		}
+		for _, path := range []string{"GET /dist/status", "POST /dist/submit"} {
+			method, route, _ := strings.Cut(path, " ")
+			req, err := http.NewRequest(method, srv.URL+route, strings.NewReader(`{"exp":"fig1"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if secret != "" {
+				req.Header.Set(secretHeader, secret)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnauthorized {
+				t.Errorf("%s with secret %q: HTTP %d, want 401", path, secret, resp.StatusCode)
+			}
 		}
 	}
 	if _, _, _, _, err := Status(nil, nil, srv.URL, "wrong"); !errors.As(err, new(*AuthError)) {
@@ -271,7 +251,7 @@ func TestAuthRejectsWrongSecret(t *testing.T) {
 	if !errors.As(err, &ae) {
 		t.Fatalf("wrong-secret RunWorker returned %v (%T), want *AuthError", err, err)
 	}
-	if !strings.Contains(err.Error(), "401") || !strings.Contains(err.Error(), "secret") {
+	if !strings.Contains(err.Error(), "rejected") || !strings.Contains(err.Error(), "secret") {
 		t.Errorf("AuthError %q not descriptive", err)
 	}
 }
@@ -306,8 +286,12 @@ func TestAuthedFleetCompletes(t *testing.T) {
 
 // TestCoExecuteAloneDrainsBatch: with co-execution enabled, a lone
 // coordinator — no external workers anywhere — completes its own batch
-// through the loopback protocol path, auth included.
+// over its in-memory wire connection, auth included. The connection shows
+// in the status snapshot like any worker's, and once the Run releases
+// co-execution every goroutine it started (slots, read loops, the
+// coordinator's side of the pipe) exits.
 func TestCoExecuteAloneDrainsBatch(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	coord := NewCoordinator(CoordinatorOptions{
 		LeaseTTL: time.Second, LeaseBatch: 2, Secret: "s3cret", CoExecute: 2,
 	})
@@ -326,10 +310,30 @@ func TestCoExecuteAloneDrainsBatch(t *testing.T) {
 		t.Errorf("Completed = %d, want 6", st.Completed)
 	}
 	if st.Leases < 1 {
-		t.Error("co-execution never leased (did the loopback worker run?)")
+		t.Error("co-execution never leased (did the in-process worker run?)")
 	}
 	if coord.Workers() < 1 {
-		t.Error("loopback worker not counted live")
+		t.Error("in-process worker not counted live")
+	}
+	var conns []WireConnStatus
+	for _, wc := range coord.Snapshot().WireConns {
+		if wc.Worker == "coordinator" {
+			conns = append(conns, wc)
+		}
+	}
+	if len(conns) != 1 || conns[0].FramesIn == 0 || conns[0].FramesOut == 0 {
+		t.Errorf("co-execution wire connections = %+v, want one with frames counted both ways", conns)
+	}
+	if st.FramesIn == 0 || st.FramesOut == 0 {
+		t.Errorf("frame counters = %d in / %d out, want both > 0", st.FramesIn, st.FramesOut)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after co-execution released, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -388,24 +392,21 @@ func TestProgressStreamsToWorkers(t *testing.T) {
 
 	// Complete job 1 by hand, then observe its completion on every reply
 	// kind the protocol has.
-	var lease leaseResponse
-	if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "manual", Kinds: []string{echoKind}, Max: 1}, &lease); st != http.StatusOK {
-		t.Fatalf("lease: HTTP %d", st)
+	lease := coord.leaseRPC(leaseRequest{Worker: "manual", Kinds: []string{echoKind}, Max: 1})
+	if len(lease.Jobs) != 1 {
+		t.Fatalf("lease granted %d jobs, want 1", len(lease.Jobs))
 	}
 	if lease.Total != 2 || lease.Done != 0 {
 		t.Errorf("lease reply progress %d/%d, want 0/2", lease.Done, lease.Total)
 	}
-	var rres resultResponse
-	postJSON(t, srv.URL+"/dist/result", resultRequest{
+	rres := coord.resultRPC(resultRequest{
 		Worker: "manual", JobID: lease.Jobs[0].JobID,
 		Result: append([]byte("ok:"), lease.Jobs[0].Spec...),
-	}, &rres)
+	})
 	if rres.Done != 1 || rres.Total != 2 {
 		t.Errorf("result reply progress %d/%d, want 1/2", rres.Done, rres.Total)
 	}
-	var hb heartbeatResponse
-	postJSON(t, srv.URL+"/dist/heartbeat", heartbeatRequest{Worker: "manual"}, &hb)
-	if !hb.Active || hb.Done != 1 || hb.Total != 2 {
+	if hb := coord.heartbeatRPC(heartbeatRequest{Worker: "manual"}); !hb.Active || hb.Done != 1 || hb.Total != 2 {
 		t.Errorf("heartbeat reply = active %t %d/%d, want active 1/2", hb.Active, hb.Done, hb.Total)
 	}
 

@@ -40,9 +40,9 @@ const peerIdleTimeout = time.Minute
 // the full relay timeout twice.
 const peerOpTimeout = relayTimeout
 
-// secretDigestOK compares a HELLO's secret digest against secret in
-// constant time; an empty secret accepts any HELLO (matching the
-// coordinator's HTTP middleware being absent).
+// secretDigestOK compares a secret's SHA-256 digest against secret in
+// constant time; an empty secret accepts anything (an unauthenticated
+// coordinator or peer listener).
 func secretDigestOK(secret string, digest []byte) bool {
 	if secret == "" {
 		return true
@@ -52,6 +52,17 @@ func secretDigestOK(secret string, digest []byte) bool {
 		return false
 	}
 	return subtle.ConstantTimeCompare(want[:], digest) == 1
+}
+
+// writeHello sends the handshake frame that opens every coordinator and
+// peer connection, carrying the digest secretDigestOK checks.
+func writeHello(wr *wire.Writer, worker, secret, peer string) error {
+	digest := sha256.Sum256([]byte(secret))
+	buf := wire.GetBuffer()
+	*buf = appendHello(*buf, worker, digest[:], peer)
+	err := wr.WriteFrame(wire.FrameHello, 0, 0, *buf)
+	wire.PutBuffer(buf)
+	return err
 }
 
 // peerServer is one worker's peer listener. Serving is deliberately
@@ -220,12 +231,7 @@ func dialPeer(ctx context.Context, addr, worker, secret string) (net.Conn, *wire
 		conn.SetDeadline(dl)
 	}
 	wr := wire.NewWriter(conn)
-	digest := sha256.Sum256([]byte(secret))
-	hello := wire.GetBuffer()
-	*hello = appendHello(*hello, worker, digest[:], "")
-	err = wr.WriteFrame(wire.FrameHello, 0, 0, *hello)
-	wire.PutBuffer(hello)
-	if err != nil {
+	if err := writeHello(wr, worker, secret, ""); err != nil {
 		conn.Close()
 		return nil, nil, nil, err
 	}

@@ -3,14 +3,16 @@ package dist_test
 // End-to-end worker-to-worker data path tests: with a holder serving its
 // store on a peer listener, a cold worker must warm up entirely over direct
 // peer fetches — the coordinator never relays a byte — and when the holder
-// dies with its indicator still fresh, every fetch must degrade direct →
-// relay → local simulation. Both paths are asserted with the sweep TSV
+// loses its cells with its indicator still standing, every fetch must
+// degrade direct → relay → local simulation. Both paths are asserted with the sweep TSV
 // byte-identical to the serial run: the direct path is an optimization,
 // never a correctness dependency.
 
 import (
 	"context"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -43,7 +45,7 @@ func TestDistDirectFetchBypassesCoordinator(t *testing.T) {
 	// The warm worker holds, serves, and — new here — listens for peers.
 	go dist.RunWorker(ctx, dist.WorkerOptions{
 		Coordinator: srv.URL, Name: "warm", Poll: 50 * time.Millisecond,
-		Wire: "binary", CacheDir: warm, AdvertInterval: 20 * time.Millisecond,
+		CacheDir: warm, AdvertInterval: 20 * time.Millisecond,
 		Kinds:    []string{"exchange.holder-only"},
 		PeerAddr: "127.0.0.1:0",
 	})
@@ -51,7 +53,7 @@ func TestDistDirectFetchBypassesCoordinator(t *testing.T) {
 
 	go dist.RunWorker(ctx, dist.WorkerOptions{
 		Coordinator: srv.URL, Name: "cold", Poll: 10 * time.Millisecond,
-		Wire: "binary", CacheDir: cold, AdvertInterval: 20 * time.Millisecond,
+		CacheDir: cold, AdvertInterval: 20 * time.Millisecond,
 	})
 
 	experiments.ResetMemo()
@@ -85,18 +87,21 @@ func TestDistDirectFetchBypassesCoordinator(t *testing.T) {
 	}
 }
 
-// TestDistHolderDeathFallsBackToSimulation: the holder advertises its store
-// and its peer address, then dies before the sweep starts — deterministic
-// stand-in for dying mid-sweep, since every subsequent fetch exercises the
-// identical degradation chain. Its indicator and peer address are still
-// fresh coordinator-side, so every grant hints held with a dead holder
-// address: the direct dial fails, the relay finds no live holder
-// connection, and the worker simulates locally. The sweep must complete
-// with TSV byte-identical to the serial run — the fallback chain never
-// produces a wrong result, only slower ones.
+// TestDistHolderDeathFallsBackToSimulation: when a holder's cells are gone,
+// every fetch degrades direct → relay → local simulation, and when the
+// holder itself dies, nobody is sent to it at all. Both sweeps must
+// complete with TSV byte-identical to the serial run — the fallback chain
+// never produces a wrong result, only slower ones.
+//
+// First the holder loses its cells while still connected (its store is
+// wiped after its only advert, so its indicator goes stale): every grant
+// hints held with the holder's live peer address, the direct fetch and the
+// relay both come back not-found, and the worker simulates. Then the holder
+// dies: its indicator goes with its wire connection, so a fresh cold worker
+// is never hinted and simulates without a single fetch round-trip.
 func TestDistHolderDeathFallsBackToSimulation(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a full quick-scale sweep twice")
+		t.Skip("runs a full quick-scale sweep three times")
 	}
 	warm, cold := t.TempDir(), t.TempDir()
 
@@ -104,43 +109,49 @@ func TestDistHolderDeathFallsBackToSimulation(t *testing.T) {
 	want := tsvOf(t, "fig1", experiments.Options{CacheDir: warm})
 
 	experiments.RegisterCellExecutor(experiments.Options{CacheDir: cold})
-	// Generous TTL: the liveness window (3x TTL) must outlast the whole
-	// sweep so the dead holder's indicator and peer address keep being
-	// handed out — the point is to hit the fallback chain on every cell.
 	coord := dist.NewCoordinator(dist.CoordinatorOptions{LeaseTTL: 10 * time.Second})
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(srv.Close)
 
+	// One advert, then silence: the holder never notices its store emptying.
 	holderCtx, killHolder := context.WithCancel(context.Background())
+	t.Cleanup(killHolder)
 	holderDone := make(chan struct{})
 	go func() {
 		defer close(holderDone)
 		dist.RunWorker(holderCtx, dist.WorkerOptions{
 			Coordinator: srv.URL, Name: "warm", Poll: 50 * time.Millisecond,
-			Wire: "binary", CacheDir: warm, AdvertInterval: 20 * time.Millisecond,
+			CacheDir: warm, AdvertInterval: time.Hour,
 			Kinds:    []string{"exchange.holder-only"},
 			PeerAddr: "127.0.0.1:0",
 		})
 	}()
 	waitForAdverts(t, coord, 1)
-	killHolder()
-	<-holderDone // peer listener closed, wire connection torn down
+	entries, err := os.ReadDir(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if err := os.RemoveAll(filepath.Join(warm, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go dist.RunWorker(ctx, dist.WorkerOptions{
+	coldCtx, stopCold := context.WithCancel(context.Background())
+	t.Cleanup(stopCold)
+	go dist.RunWorker(coldCtx, dist.WorkerOptions{
 		Coordinator: srv.URL, Name: "cold", Poll: 10 * time.Millisecond,
-		Wire: "binary", CacheDir: cold, AdvertInterval: 20 * time.Millisecond,
+		CacheDir: cold, AdvertInterval: 20 * time.Millisecond,
 	})
 
 	experiments.ResetMemo()
 	sims, fetches := experiments.Simulations(), experiments.Fetched()
 	got := tsvOf(t, "fig1", experiments.Options{Backend: coord})
 	if got != want {
-		t.Errorf("holder-death TSV differs from serial TSV:\n--- serial ---\n%s\n--- fallback ---\n%s", want, got)
+		t.Errorf("stale-holder TSV differs from serial TSV:\n--- serial ---\n%s\n--- fallback ---\n%s", want, got)
 	}
 	if d := experiments.Fetched() - fetches; d != 0 {
-		t.Errorf("worker installed %d fetched cells, want 0 (the only holder is dead)", d)
+		t.Errorf("worker installed %d fetched cells, want 0 (the only holder's cells are gone)", d)
 	}
 	if d := experiments.Simulations() - sims; d != fig1Cells {
 		t.Errorf("worker simulated %d cells, want %d (every fetch must fall back)", d, fig1Cells)
@@ -150,13 +161,60 @@ func TestDistHolderDeathFallsBackToSimulation(t *testing.T) {
 		t.Errorf("FetchDirect = %d / FetchFallback = %d, want 0 of each (no fetch can succeed)",
 			st.FetchDirect, st.FetchFallback)
 	}
-	// Every direct failure fell through to the relay, which found no live
-	// holder connection: all of them count as coordinator false positives.
+	// Every direct failure fell through to the relay, which the holder
+	// answered not-found: all of them count as coordinator false positives.
 	if st.Fetches != fig1Cells || st.FetchFalsePos != fig1Cells {
 		t.Errorf("fetch counters = %d fetches / %d false positives, want %d of each",
 			st.Fetches, st.FetchFalsePos, fig1Cells)
 	}
 	if st.FetchServed != 0 || st.FetchRelayed != 0 {
-		t.Errorf("served %d / relayed %d from a dead holder, want 0", st.FetchServed, st.FetchRelayed)
+		t.Errorf("served %d / relayed %d from an emptied holder, want 0", st.FetchServed, st.FetchRelayed)
 	}
+
+	// The holder dies; its wire connection is torn down, taking its
+	// indicator with it. A fresh cold worker then runs the sweep again.
+	killHolder()
+	<-holderDone
+	stopCold()
+	deadline := time.Now().Add(5 * time.Second)
+	for liveConn(coord, "warm") || liveConn(coord, "cold") {
+		if time.Now().After(deadline) {
+			t.Fatal("the dead holder's (or the stopped worker's) wire connection never retired")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	cold2 := t.TempDir()
+	experiments.RegisterCellExecutor(experiments.Options{CacheDir: cold2})
+	cold2Ctx, stopCold2 := context.WithCancel(context.Background())
+	t.Cleanup(stopCold2)
+	go dist.RunWorker(cold2Ctx, dist.WorkerOptions{
+		Coordinator: srv.URL, Name: "cold2", Poll: 10 * time.Millisecond,
+		CacheDir: cold2, AdvertInterval: 20 * time.Millisecond,
+	})
+
+	experiments.ResetMemo()
+	sims, fetches = experiments.Simulations(), experiments.Fetched()
+	before := coord.Stats()
+	if got := tsvOf(t, "fig1", experiments.Options{Backend: coord}); got != want {
+		t.Errorf("dead-holder TSV differs from serial TSV:\n--- serial ---\n%s\n--- fallback ---\n%s", want, got)
+	}
+	if d := experiments.Simulations() - sims; d != fig1Cells {
+		t.Errorf("worker simulated %d cells, want %d", d, fig1Cells)
+	}
+	if d := experiments.Fetched() - fetches; d != 0 {
+		t.Errorf("worker installed %d fetched cells, want 0 (the only holder is dead)", d)
+	}
+	if d := coord.Stats().Fetches - before.Fetches; d != 0 {
+		t.Errorf("%d fetches after the holder died, want 0 (its indicator must go with its connection)", d)
+	}
+}
+
+// liveConn reports whether worker has a live wire connection to coord.
+func liveConn(coord *dist.Coordinator, worker string) bool {
+	for _, wc := range coord.Snapshot().WireConns {
+		if wc.Worker == worker && !wc.Closed {
+			return true
+		}
+	}
+	return false
 }

@@ -5,33 +5,32 @@
 // pool can run, a fleet of worker processes can run with byte-identical
 // output.
 //
-// Protocol actions (all endpoints under one HTTP mux, see
-// Coordinator.Handler):
+// Workers speak one transport: the binary framed wire (internal/dist/wire).
+// A worker holds one persistent connection, upgraded from POST /dist/wire,
+// and every slot's request/reply pairs are multiplexed over it by stream
+// id, payloads encoded by codec.go and compressed against a per-connection
+// dictionary. Frame types are the protocol's actions:
 //
-//	POST /dist/lease     {worker, kinds, max}    -> a batch of jobs + lease TTL, or 204
-//	POST /dist/heartbeat {worker, job_ids}       -> extends the jobs' leases; replies with sweep progress
-//	POST /dist/result    {worker, job_id, ...}   -> completes (or fails) one job; reply may refill the batch
-//	POST /dist/advert    {worker, gen, bits...}  -> records the worker's cell-store indicator
-//	POST /dist/fetch     {worker, key}           -> raw cell entry bytes from any holder, or found=false
-//	POST /dist/submit    {exp, scale, priority}  -> queues one named sweep on a sweep-service coordinator
-//	POST /dist/wire      Upgrade: bashsim-wire/3 -> 101; the connection becomes binary frames
-//	GET  /dist/status                            -> batch progress, live workers, lifetime counters
+//	HELLO     -> WELCOME     worker name, secret digest, peer address; opens the connection
+//	LEASE     -> GRANT       a batch of jobs + lease TTL; an empty grant means no work
+//	HEARTBEAT -> BEAT-ACK    extends the jobs' leases; replies with sweep progress
+//	RESULT    -> RESULT-ACK  completes (or fails) one job; the reply may refill the batch
+//	ADVERT                   records the worker's cell-store indicator (no reply)
+//	FETCH     -> CELL        raw cell entry bytes from any holder, or not-found
+//	SUBMIT    -> SWEEP       queues one named sweep on a sweep-service coordinator
 //
-// Submissions also travel the binary wire as a SUBMIT/SWEEP frame pair (see
-// submit.go); a coordinator that is not running as a sweep service answers
-// either plane with an in-band error rather than queueing anything.
+// A protocol violation gets an ERROR frame and the connection closes.
+// Co-execution runs the same frames over an in-memory net.Pipe into the
+// same dispatcher. Dropped connections redial with capped exponential
+// backoff plus jitter, and leases lost in the gap reassign through the
+// lease-TTL machinery like any other worker death.
 //
-// The same actions run over two transports behind one state machine. By
-// default a worker upgrades to the binary framed wire (internal/dist/wire):
-// one persistent connection, every slot's request/reply pairs multiplexed
-// by stream id, payloads encoded by codec.go and compressed against a
-// per-connection dictionary — no per-action connection setup, no JSON
-// envelope, no base64. A coordinator that refuses the upgrade (an older
-// build, or CoordinatorOptions.Wire = "http") leaves the worker on the
-// original JSON-over-HTTP path; WorkerOptions.Wire forces either. Dropped
-// binary connections redial with capped exponential backoff plus jitter,
-// and leases lost in the gap reassign through the lease-TTL machinery like
-// any other worker death.
+// HTTP remains for the upgrade and the operator surfaces (see
+// Coordinator.Handler): GET /dist/status reports batch progress, live
+// workers, and lifetime counters, and POST /dist/submit takes the same
+// submission as a SUBMIT frame as JSON. A coordinator that is not running
+// as a sweep service answers a submission with an in-band error rather
+// than queueing anything.
 //
 // A worker leases a batch of up to CoordinatorOptions.LeaseBatch jobs per
 // slot (adaptive: grants shrink to ceil(pending/liveWorkers) near queue
@@ -40,8 +39,8 @@
 // executing, and streams each job's gob-encoded result back the moment it
 // completes — one slow cell never holds the rest of its batch's results
 // hostage. A result post doubles as a lease request: its reply can carry
-// refill jobs, so a saturated worker needs no further /dist/lease
-// round-trips for the life of a sweep. Each job's lease is individual: a
+// refill jobs, so a saturated worker needs no further LEASE round-trips
+// for the life of a sweep. Each job's lease is individual: a
 // lease that expires — worker crashed, hung, or partitioned — puts that job
 // (and only that job; results already streamed back stay completed) back in
 // the queue for another worker, bounded by MaxLeaseExpiries so a job cannot
@@ -60,17 +59,18 @@
 //
 // The peer cell exchange (protocol v4) makes that store fleet-wide without
 // shared disk. Workers with a store periodically advertise a Bloom-filter
-// indicator over their keys (ADVERT frames / POST /dist/advert, deltas
-// preferred, paced against WorkerOptions.AdvertBudget); the coordinator
-// keeps a per-worker indicator table and marks each granted job with a
-// likely-holder hint. Before simulating a hinted cell a worker issues a
-// FETCH; the coordinator serves it from its own store (CacheDir) or relays
-// the FETCH down an advertised holder's live wire connection, streaming the
-// raw entry bytes back as a CELL frame. The requester verifies the entry —
-// envelope format and exact key, which embeds the binary fingerprint —
-// before installing and using it (cellstore.DecodeRaw, fail closed), so an
-// indicator false positive, a stale advert, or a hostile peer degrades to
-// the pre-exchange behavior (simulate locally), never to a wrong result.
+// indicator over their keys (ADVERT frames, deltas preferred, paced against
+// WorkerOptions.AdvertBudget); the coordinator keeps a per-worker indicator
+// table, each entry living as long as the connection that advertised it,
+// and marks each granted job with a likely-holder hint. Before simulating a
+// hinted cell a worker issues a FETCH; the coordinator serves it from its
+// own store (CacheDir) or relays the FETCH down an advertised holder's live
+// wire connection, streaming the raw entry bytes back as a CELL frame. The
+// requester verifies the entry — envelope format and exact key, which
+// embeds the binary fingerprint — before installing and using it
+// (cellstore.DecodeRaw, fail closed), so an indicator false positive, a
+// stale advert, or a hostile peer degrades to the pre-exchange behavior
+// (simulate locally), never to a wrong result.
 //
 // Protocol v5 adds deterministic placement and a direct worker-to-worker
 // data path on top of the exchange. The coordinator keeps a consistent-hash
@@ -79,36 +79,35 @@
 // published where fetches will look for them. Workers may serve their store
 // to peers directly: WorkerOptions.PeerAddr starts a listener speaking the
 // same framed wire (HELLO-authenticated, FETCH→CELL and PUT→PUT-ACK only),
-// and the address is advertised at registration — in the HELLO frame on
-// binary connections, in the lease request over HTTP. Grants then carry
-// each hinted job's holder peer addresses (Holders, freshest advertisement
-// first) and the ring owners' addresses (Owners, the replication targets a
-// publisher pushes finished cells to). A worker resolves a hinted key
-// direct→relay→simulate: dial a holder and FETCH, fall back to the
-// coordinator relay on connect failure, timeout, or verification failure,
-// and finally simulate locally — the TSV is byte-identical on every path,
-// the paths differ only in bandwidth. With placement converged,
-// fetch_relayed stays ~0 and the coordinator is off the data path.
+// and the address is advertised at registration, in the HELLO frame and
+// every lease request. Grants then carry each hinted job's holder peer
+// addresses (Holders, freshest advertisement first) and the ring owners'
+// addresses (Owners, the replication targets a publisher pushes finished
+// cells to). A worker resolves a hinted key direct→relay→simulate: dial a
+// holder and FETCH, fall back to the coordinator relay on connect failure,
+// timeout, or verification failure, and finally simulate locally — the TSV
+// is byte-identical on every path, the paths differ only in bandwidth. With
+// placement converged, fetch_relayed stays ~0 and the coordinator is off
+// the data path.
 //
 // Coordinator and workers are assumed to run the same binary (cache keys
 // embed the binary fingerprint, so mismatched builds waste work but never
 // corrupt results). The protocol optionally authenticates with a shared
 // secret (CoordinatorOptions.Secret / WorkerOptions.Secret, compared in
-// constant time): HTTP requests carry it in the X-Bashsim-Secret header
-// and get 401 on a mismatch, binary connections open with a HELLO frame
-// carrying its SHA-256 digest and get a terminal auth-flagged ERROR frame;
-// either way the worker exits with the same descriptive *AuthError instead
-// of retrying. Without a secret the protocol trusts its network; run it on
-// a private cluster.
+// constant time): wire connections open with a HELLO frame carrying its
+// SHA-256 digest and get a terminal auth-flagged ERROR frame on a
+// mismatch, and the worker exits with a descriptive *AuthError instead of
+// retrying; HTTP requests to /dist/status and /dist/submit carry it in the
+// X-Bashsim-Secret header and get 401 on a mismatch. Without a secret the
+// protocol trusts its network; run it on a private cluster.
 package dist
 
 import "time"
 
-// Wire messages. Byte slices ([]byte) travel base64-encoded by
-// encoding/json; specs and results are gob payloads produced by the
-// registered executors and their callers.
+// Wire messages, encoded by codec.go. Specs and results are gob payloads
+// produced by the registered executors and their callers.
 
-// secretHeader carries the optional shared secret on every request.
+// secretHeader carries the optional shared secret on HTTP requests.
 const secretHeader = "X-Bashsim-Secret"
 
 // leaseRequest asks for a batch of jobs executable by any of the worker's
@@ -116,13 +115,13 @@ const secretHeader = "X-Bashsim-Secret"
 // configured LeaseBatch (a worker with bounded queue memory); zero accepts
 // the coordinator's default.
 type leaseRequest struct {
-	Worker string   `json:"worker"`
-	Kinds  []string `json:"kinds"`
-	Max    int      `json:"max,omitempty"`
+	Worker string
+	Kinds  []string
+	Max    int
 	// Peer is the worker's peer listener address, registered with the
 	// coordinator for consistent-hash placement and direct fetch routing
 	// ("" when the worker serves no peers).
-	Peer string `json:"peer,omitempty"`
+	Peer string
 }
 
 // leasedJob is one granted job inside a lease or refill reply. Held is the
@@ -132,40 +131,42 @@ type leaseRequest struct {
 // cold for this key and the worker skips the round-trip (bandwidth-aware
 // cache selection — never fetch what nobody claims to hold).
 type leasedJob struct {
-	JobID int64  `json:"job_id"`
-	Kind  string `json:"kind"`
-	Key   string `json:"key"`
-	Label string `json:"label"`
-	Spec  []byte `json:"spec"`
-	Held  bool   `json:"held,omitempty"`
+	JobID int64
+	Kind  string
+	Key   string
+	Label string
+	Spec  []byte
+	Held  bool
 	// Holders lists peer listener addresses of advertised holders (freshest
 	// advertisement first, excluding the leased worker) for a Held job: the
 	// worker tries a direct FETCH against each before falling back to the
 	// coordinator relay. Empty when no holder serves peers.
-	Holders []string `json:"holders,omitempty"`
+	Holders []string
 	// Owners lists the peer addresses of the job Key's consistent-hash ring
 	// owners (excluding the leased worker): after publishing the finished
 	// cell the worker best-effort PUTs it to these, converging placement
 	// even when a non-owner ran the job.
-	Owners []string `json:"owners,omitempty"`
+	Owners []string
 }
 
 // leaseResponse grants a batch of jobs (each with its own lease, all
-// expiring LeaseMillis from the grant). A 204 response (no body) means no
-// work is available right now. Done/Total report sweep-wide progress so
-// worker logs can show fleet state.
+// expiring LeaseMillis from the grant). An empty grant means no work is
+// available right now. Done/Total report sweep-wide progress so worker
+// logs can show fleet state. A result's acknowledgment is the same shape:
+// its Jobs are the refill, when the worker asked for one and pending work
+// matched.
 type leaseResponse struct {
-	Jobs        []leasedJob `json:"jobs"`
-	LeaseMillis int64       `json:"lease_millis"`
-	Done        int         `json:"done"`
-	Total       int         `json:"total"`
+	Jobs        []leasedJob
+	LeaseMillis int64
+	Done        int
+	Total       int
 }
 
 // heartbeatRequest extends the leases of the worker's in-flight jobs —
 // every job it holds, queued or executing.
 type heartbeatRequest struct {
-	Worker string  `json:"worker"`
-	JobIDs []int64 `json:"job_ids"`
+	Worker string
+	JobIDs []int64
 }
 
 // heartbeatResponse tells the worker whether a batch is active (an idle
@@ -173,9 +174,9 @@ type heartbeatRequest struct {
 // progressed, so worker logs show fleet-wide progress between their own
 // completions.
 type heartbeatResponse struct {
-	Active bool `json:"active"`
-	Done   int  `json:"done"`
-	Total  int  `json:"total"`
+	Active bool
+	Done   int
+	Total  int
 }
 
 // resultRequest completes one leased job. Exactly one of Result, Error, or
@@ -184,65 +185,49 @@ type heartbeatResponse struct {
 // executor panic. Refill, when positive, asks the coordinator to grant up
 // to that many replacement jobs (matching Kinds) in the reply — a result
 // post doubles as a lease request, keeping a saturated worker off the
-// /dist/lease endpoint entirely.
+// LEASE round-trip entirely.
 type resultRequest struct {
-	Worker string   `json:"worker"`
-	JobID  int64    `json:"job_id"`
-	Result []byte   `json:"result,omitempty"`
-	Error  string   `json:"error,omitempty"`
-	Panic  string   `json:"panic,omitempty"`
-	Stack  []byte   `json:"stack,omitempty"`
-	Kinds  []string `json:"kinds,omitempty"`
-	Refill int      `json:"refill,omitempty"`
+	Worker string
+	JobID  int64
+	Result []byte
+	Error  string
+	Panic  string
+	Stack  []byte
+	Kinds  []string
+	Refill int
 	// Fetch-path delta counters since the worker's last report: cells
 	// fetched directly from a peer, direct attempts that fell back to the
 	// coordinator relay, and replication PUTs pushed to ring owners. The
 	// coordinator folds them into its exchange totals so /dist/status sees
 	// traffic that never touched its socket. Advisory: deltas lost to a
 	// result retry undercount, never double-count.
-	FetchDirect   uint64 `json:"fetch_direct,omitempty"`
-	FetchFallback uint64 `json:"fetch_fallback,omitempty"`
-	PeerPuts      uint64 `json:"peer_puts,omitempty"`
-}
-
-// resultResponse acknowledges a result and, when the worker asked for a
-// refill and pending work matched, grants replacement jobs.
-type resultResponse struct {
-	Jobs        []leasedJob `json:"jobs,omitempty"`
-	LeaseMillis int64       `json:"lease_millis,omitempty"`
-	Done        int         `json:"done"`
-	Total       int         `json:"total"`
+	FetchDirect   uint64
+	FetchFallback uint64
+	PeerPuts      uint64
 }
 
 // advertRequest is one worker's cell-store indicator advertisement: a
 // Bloom filter over its store keys (see indicator.go). Gen increments per
 // send from that worker; a delta (Full=false) carries the XOR of the new
 // and previous bit arrays and applies only when geometry matches and Gen is
-// exactly the successor of the last applied generation — anything else
-// makes the coordinator ask for a full resend (HTTP) or simply awaits one
-// (binary connections always open with a full send, and frames on one
-// connection cannot reorder).
+// exactly the successor of the last applied generation on the same
+// connection. Every connection opens with a full send and frames on one
+// connection cannot reorder, so nothing else ever arrives from a correct
+// worker.
 type advertRequest struct {
-	Worker string `json:"worker"`
-	Gen    uint64 `json:"gen"`
-	Full   bool   `json:"full"`
-	M      uint32 `json:"m"`
-	K      uint8  `json:"k"`
-	Bits   []byte `json:"bits"`
-}
-
-// advertResponse acknowledges an HTTP advert; NeedFull asks the worker to
-// resend a full filter (generation gap or geometry change the coordinator
-// could not apply). The binary ADVERT frame has no reply.
-type advertResponse struct {
-	NeedFull bool `json:"need_full,omitempty"`
+	Worker string
+	Gen    uint64
+	Full   bool
+	M      uint32
+	K      uint8
+	Bits   []byte
 }
 
 // fetchRequest asks the coordinator for one raw cell entry by store key.
 // Worker names the requester so routing never bounces a fetch back to it.
 type fetchRequest struct {
-	Worker string `json:"worker"`
-	Key    string `json:"key"`
+	Worker string
+	Key    string
 }
 
 // fetchResponse carries the raw entry bytes when some holder produced
@@ -250,24 +235,24 @@ type fetchRequest struct {
 // relay timeout — tells the requester to simulate locally: the exchange
 // degrades to the pre-exchange behavior, never to a wrong result.
 type fetchResponse struct {
-	Found bool   `json:"found"`
-	Raw   []byte `json:"raw,omitempty"`
+	Found bool
+	Raw   []byte
 }
 
 // putRequest replicates one raw cell entry onto a peer (PUT frames on a
 // peer connection): the receiver verifies the entry against its key before
 // installing it, exactly like a fetched cell.
 type putRequest struct {
-	Worker string `json:"worker"`
-	Key    string `json:"key"`
-	Raw    []byte `json:"raw"`
+	Worker string
+	Key    string
+	Raw    []byte
 }
 
 // putResponse acknowledges a PUT. Accepted=false means the receiver
 // declined (no store, or the entry failed verification); the sender never
 // retries — replication is best-effort, the relay path covers misses.
 type putResponse struct {
-	Accepted bool `json:"accepted"`
+	Accepted bool
 }
 
 // StatusSnapshot reports batch progress and the coordinator's lifetime
@@ -290,8 +275,8 @@ type StatusSnapshot struct {
 	Failed     uint64 `json:"failed"`
 	Reassigned uint64 `json:"reassigned"`
 	// Socket-level byte totals across every connection Serve accepted
-	// (HTTP and binary alike), and binary frame totals; the CI smoke's
-	// bytes-per-cell assertion reads these.
+	// (wire and HTTP alike), and wire frame totals across every connection
+	// (co-execution's in-memory pipe included); the CI smoke reads these.
 	BytesIn   uint64 `json:"bytes_in"`
 	BytesOut  uint64 `json:"bytes_out"`
 	FramesIn  uint64 `json:"frames_in"`
@@ -318,14 +303,16 @@ type StatusSnapshot struct {
 	PeerPuts        uint64 `json:"peer_puts"`
 	RingOwnerGrants uint64 `json:"ring_owner_grants"`
 	RingWorkers     int    `json:"ring_workers"`
-	// WireConns details each live binary connection, followed by a bounded
+	// WireConns details each live wire connection, followed by a bounded
 	// history of recently closed ones (Closed=true): the retention cap and
 	// age window in conn.go keep a week-long service's status payload and
 	// status-page table from growing with every reconnect.
 	WireConns []WireConnStatus `json:"wire_conns,omitempty"`
 }
 
-// WireConnStatus is one binary connection's counters in /dist/status.
+// WireConnStatus is one wire connection's counters in /dist/status.
+// Co-execution's connection appears as worker "coordinator" with remote
+// "pipe".
 type WireConnStatus struct {
 	Worker    string `json:"worker"`
 	Remote    string `json:"remote"`
@@ -347,13 +334,13 @@ type Stats struct {
 	// expired and were requeued.
 	Leases, Refills, Dispatched, Completed, Failed, Reassigned uint64
 	// BytesIn/BytesOut count socket-level traffic across every connection
-	// accepted by Coordinator.Serve — HTTP framing and binary frames
-	// measured at the same place. Zero when the handler is mounted on a
-	// server that bypasses Serve (httptest and the loopback transport).
+	// accepted by Coordinator.Serve — HTTP framing and wire frames measured
+	// at the same place. Zero when the handler is mounted on a server that
+	// bypasses Serve (httptest); co-execution's in-memory pipe never
+	// touches a socket, so its traffic is not counted here.
 	BytesIn, BytesOut uint64
-	// FramesIn/FramesOut count binary wire frames across all /dist/wire
-	// connections, live and closed (handshake frames included). Zero means
-	// no worker ever negotiated the binary transport.
+	// FramesIn/FramesOut count wire frames across all connections, live and
+	// closed (handshake frames included), co-execution's pipe among them.
 	FramesIn, FramesOut uint64
 	// Peer cell exchange: Adverts counts indicator advertisements received
 	// (AdvertBytes their on-wire payload bytes), Fetches every FETCH

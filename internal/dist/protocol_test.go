@@ -1,12 +1,12 @@
 package dist
 
-// White-box protocol tests: drive the coordinator's HTTP endpoints the way
-// a (possibly dying) worker would, and assert the lease machinery —
-// reassignment after expiry, the expiry budget, status reporting — without
-// any simulator involvement.
+// White-box protocol tests: drive the coordinator's RPC handlers (the ones
+// the LEASE/HEARTBEAT/RESULT frames dispatch to) the way a (possibly
+// dying) worker would, and assert the lease machinery — reassignment after
+// expiry, the expiry budget, status reporting — without any simulator
+// involvement.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -44,26 +44,6 @@ func echoJobs(n int) []runner.Job {
 		}
 	}
 	return jobs
-}
-
-// postJSON sends one wire message and decodes the reply when out is non-nil.
-func postJSON(t *testing.T, url string, in, out any) int {
-	t.Helper()
-	body, err := json.Marshal(in)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("post %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("decode %s: %v", url, err)
-		}
-	}
-	return resp.StatusCode
 }
 
 // waitActive polls until the coordinator reports an active batch.
@@ -106,9 +86,8 @@ func TestLeaseReassignment(t *testing.T) {
 	waitActive(t, srv.URL)
 
 	// The doomed worker takes one job and is never heard from again.
-	var lease leaseResponse
-	if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "doomed", Kinds: []string{echoKind}}, &lease); st != http.StatusOK {
-		t.Fatalf("doomed lease: HTTP %d", st)
+	if lease := coord.leaseRPC(leaseRequest{Worker: "doomed", Kinds: []string{echoKind}}); len(lease.Jobs) == 0 {
+		t.Fatal("doomed lease granted nothing")
 	}
 
 	ctx, cancel := testContext(t)
@@ -148,19 +127,16 @@ func TestExpiryBudget(t *testing.T) {
 	waitActive(t, srv.URL)
 
 	// A stream of doomed workers: lease, die, repeat.
+	stop := make(chan struct{})
+	defer close(stop)
 	go func() {
 		for i := 0; ; i++ {
-			var lease leaseResponse
-			body, _ := json.Marshal(leaseRequest{Worker: fmt.Sprintf("doomed-%d", i), Kinds: []string{echoKind}})
-			resp, err := http.Post(srv.URL+"/dist/lease", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return // server closed: test over
+			coord.leaseRPC(leaseRequest{Worker: fmt.Sprintf("doomed-%d", i), Kinds: []string{echoKind}})
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
 			}
-			if resp.StatusCode == http.StatusOK {
-				json.NewDecoder(resp.Body).Decode(&lease)
-			}
-			resp.Body.Close()
-			time.Sleep(20 * time.Millisecond)
 		}
 	}()
 
@@ -300,8 +276,7 @@ func TestReassignedCountsOnlyRequeues(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			var lease leaseResponse
-			if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: fmt.Sprintf("doomed-%d", i), Kinds: []string{echoKind}}, &lease); st == http.StatusOK {
+			if lease := coord.leaseRPC(leaseRequest{Worker: fmt.Sprintf("doomed-%d", i), Kinds: []string{echoKind}}); len(lease.Jobs) > 0 {
 				break
 			}
 			time.Sleep(10 * time.Millisecond)
@@ -344,8 +319,7 @@ func TestBareWorkerLeasesNothing(t *testing.T) {
 			return
 		default:
 		}
-		var lease leaseResponse
-		if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "bare"}, &lease); st == http.StatusOK {
+		if lease := coord.leaseRPC(leaseRequest{Worker: "bare"}); len(lease.Jobs) > 0 {
 			t.Fatalf("kindless worker was granted %d job(s) (first: %+v)", len(lease.Jobs), lease.Jobs[0])
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -371,9 +345,7 @@ func TestStatusReportsProgressAndWorkers(t *testing.T) {
 	if n := coord.Workers(); n != 0 {
 		t.Fatalf("idle coordinator reports %d workers", n)
 	}
-	var hb heartbeatResponse
-	postJSON(t, srv.URL+"/dist/heartbeat", heartbeatRequest{Worker: "w1"}, &hb)
-	if hb.Active {
+	if hb := coord.heartbeatRPC(heartbeatRequest{Worker: "w1"}); hb.Active {
 		t.Error("heartbeat reports an active batch on an idle coordinator")
 	}
 	if n := coord.Workers(); n != 1 {

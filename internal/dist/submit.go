@@ -2,9 +2,9 @@ package dist
 
 // Sweep submissions: the client half of the sweep service. A long-lived
 // coordinator (internal/svc) installs a submission hook via HandleSubmit;
-// submissions arrive over either transport plane — POST /dist/submit on
-// HTTP/JSON, a SUBMIT/SWEEP frame pair on the binary wire — and land in the
-// same hook. A coordinator with no hook (the classic one-shot -serve, or a
+// submissions arrive either as a SUBMIT/SWEEP frame pair on the wire
+// (SubmitSweep, bashsim -submit) or as a JSON POST /dist/submit from an
+// operator's HTTP client, and land in the same hook. A coordinator with no hook (the classic one-shot -serve, or a
 // bare NewCoordinator in tests) rejects in-band with a descriptive error
 // rather than queueing work it would never run.
 
@@ -51,8 +51,8 @@ func (c *Coordinator) HandleSubmit(fn func(SubmitRequest) SubmitResponse) {
 	c.submitMu.Unlock()
 }
 
-// submitRPC is the transport-independent submission handler: the JSON
-// endpoint and the binary SUBMIT frame both land here.
+// submitRPC is the submission handler: the JSON endpoint and the SUBMIT
+// frame both land here.
 func (c *Coordinator) submitRPC(req SubmitRequest) SubmitResponse {
 	c.submitMu.Lock()
 	fn := c.submit
@@ -77,15 +77,14 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // SubmitSweep submits one named sweep to a sweep-service coordinator and
-// returns its acknowledgment. The submission travels whatever transport o
-// selects — the binary wire by default, HTTP/JSON with o.Wire == "http" or
-// a custom o.Client — and an in-band rejection surfaces as an error with
-// the coordinator's description.
+// returns its acknowledgment. The submission travels the wire as a
+// SUBMIT/SWEEP frame pair, and an in-band rejection surfaces as an error
+// with the coordinator's description.
 func SubmitSweep(ctx context.Context, o WorkerOptions, req SubmitRequest) (SubmitResponse, error) {
 	if req.Priority < 0 || req.Priority > maxSweepPriority {
 		return SubmitResponse{}, fmt.Errorf("dist: sweep priority %d out of range [0, %d]", req.Priority, maxSweepPriority)
 	}
-	tr, err := newTransport(o)
+	tr, err := newTransport(o, nil)
 	if err != nil {
 		return SubmitResponse{}, err
 	}

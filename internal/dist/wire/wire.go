@@ -411,5 +411,6 @@ func (r *Reader) readFrame() (Header, []byte, error) {
 }
 
 // ErrNotWire lets callers distinguish "peer does not speak this protocol"
-// (negotiate down to the HTTP transport) from transient connection failures.
+// (a misconfigured address or a mismatched build) from transient
+// connection failures.
 var ErrNotWire = errors.New("wire: peer does not speak the bashsim wire protocol")

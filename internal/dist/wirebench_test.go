@@ -1,12 +1,11 @@
 package dist
 
-// BenchmarkWireRoundTrip compares the two transports on the protocol's hot
-// cycle — lease a batch, execute, stream the result, refill — with payloads
-// sized like the real sweep's gob cells (~227-byte specs, ~244-byte
-// results, near-identical across jobs: exactly the shape the binary wire's
-// per-connection compression context feeds on). The CI bench step archives
-// the output; the binary transport must show fewer coordinator bytes per
-// op and lower latency than HTTP/JSON at the same batch size.
+// BenchmarkWireRoundTrip measures the wire on the protocol's hot cycle —
+// lease a batch, execute, stream the result, refill — with payloads sized
+// like the real sweep's gob cells (~227-byte specs, ~244-byte results,
+// near-identical across jobs: exactly the shape the wire's per-connection
+// compression context feeds on). The CI bench step archives ns/op and
+// coordinator bytes per op.
 
 import (
 	"context"
@@ -53,46 +52,43 @@ func benchJobs(n int, tag byte) []runner.Job {
 }
 
 func BenchmarkWireRoundTrip(b *testing.B) {
-	for _, mode := range []string{"binary", "http"} {
-		b.Run(mode, func(b *testing.B) {
-			coord := NewCoordinator(CoordinatorOptions{LeaseTTL: 5 * time.Second, LeaseBatch: 4})
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatalf("listen: %v", err)
-			}
-			defer l.Close()
-			go coord.Serve(l)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			for i := 0; i < 2; i++ {
-				go RunWorker(ctx, WorkerOptions{
-					Coordinator: "http://" + l.Addr().String(),
-					Name:        fmt.Sprintf("bench-%s-%d", mode, i),
-					Poll:        2 * time.Millisecond,
-					Kinds:       []string{benchKind},
-					Wire:        mode,
-				})
-			}
-			// Warm: establish connections (and the binary transport's
-			// compression context) before the timed section.
-			if _, err := coord.Run(benchJobs(8, 'w'), runner.Options{}); err != nil {
-				b.Fatalf("warm run: %v", err)
-			}
+	b.Run("binary", func(b *testing.B) {
+		coord := NewCoordinator(CoordinatorOptions{LeaseTTL: 5 * time.Second, LeaseBatch: 4})
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatalf("listen: %v", err)
+		}
+		defer l.Close()
+		go coord.Serve(l)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		for i := 0; i < 2; i++ {
+			go RunWorker(ctx, WorkerOptions{
+				Coordinator: "http://" + l.Addr().String(),
+				Name:        fmt.Sprintf("bench-%d", i),
+				Poll:        2 * time.Millisecond,
+				Kinds:       []string{benchKind},
+			})
+		}
+		// Warm: establish connections (and the compression context) before
+		// the timed section.
+		if _, err := coord.Run(benchJobs(8, 'w'), runner.Options{}); err != nil {
+			b.Fatalf("warm run: %v", err)
+		}
 
-			jobs := benchJobs(b.N, 'b')
-			before := coord.Stats()
-			b.ResetTimer()
-			outs, err := coord.Run(jobs, runner.Options{})
-			b.StopTimer()
-			if err != nil {
-				b.Fatalf("Run: %v", err)
-			}
-			if len(outs) != b.N {
-				b.Fatalf("got %d results, want %d", len(outs), b.N)
-			}
-			after := coord.Stats()
-			delta := (after.BytesIn + after.BytesOut) - (before.BytesIn + before.BytesOut)
-			b.ReportMetric(float64(delta)/float64(b.N), "coordB/op")
-		})
-	}
+		jobs := benchJobs(b.N, 'b')
+		before := coord.Stats()
+		b.ResetTimer()
+		outs, err := coord.Run(jobs, runner.Options{})
+		b.StopTimer()
+		if err != nil {
+			b.Fatalf("Run: %v", err)
+		}
+		if len(outs) != b.N {
+			b.Fatalf("got %d results, want %d", len(outs), b.N)
+		}
+		after := coord.Stats()
+		delta := (after.BytesIn + after.BytesOut) - (before.BytesIn + before.BytesOut)
+		b.ReportMetric(float64(delta)/float64(b.N), "coordB/op")
+	})
 }

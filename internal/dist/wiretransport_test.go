@@ -1,24 +1,27 @@
 package dist
 
-// White-box tests for the binary wire transport: negotiation, auth,
+// White-box tests for the wire transport: option and URL validation, auth,
 // counters, and reconnection across a coordinator restart. These drive real
 // TCP listeners through Coordinator.Serve so the socket-level byte counters
 // are live (httptest bypasses Serve, so tests that only need the protocol
 // keep using it elsewhere).
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dist/wire"
 	"repro/internal/runner"
 )
 
 // serveWire binds a real listener and serves the coordinator on it.
-func serveWire(t *testing.T, coord *Coordinator) string {
+func serveWire(t testing.TB, coord *Coordinator) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -29,7 +32,56 @@ func serveWire(t *testing.T, coord *Coordinator) string {
 	return "http://" + l.Addr().String()
 }
 
-// TestWireFleetCountersAndStatus: a sweep over two forced-binary workers
+// pipeClient opens an in-memory wire connection to coord (the co-execution
+// seam) and completes the handshake as worker, for tests that speak raw
+// frames. The connection closes at test cleanup.
+func pipeClient(t *testing.T, coord *Coordinator, worker string) (net.Conn, *wire.Reader, *wire.Writer) {
+	t.Helper()
+	conn, r, err := coord.pipeConnect(context.Background())
+	if err != nil {
+		t.Fatalf("pipe: %v", err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	wr := wire.NewWriter(conn)
+	if err := writeHello(wr, worker, coord.opt.Secret, ""); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	rd := wire.NewReader(r)
+	if h, _, err := rd.ReadFrame(); err != nil || h.Type != wire.FrameWelcome {
+		t.Fatalf("handshake: got %s, err %v", wire.TypeName(h.Type), err)
+	}
+	return conn, rd, wr
+}
+
+// TestWireOptionValidation: the wire is the only worker transport.
+// WorkerOptions.Wire accepts "" and "binary" and nothing else, and a
+// coordinator URL the wire cannot dial is an error, not a silent switch to
+// another transport.
+func TestWireOptionValidation(t *testing.T) {
+	for _, tc := range []struct {
+		wire, url, frag string
+	}{
+		{"", "http://127.0.0.1:1", ""},
+		{"binary", "http://127.0.0.1:1", ""},
+		{"http", "http://127.0.0.1:1", "transport was removed"},
+		{"auto", "http://127.0.0.1:1", "unknown WorkerOptions.Wire"},
+		{"", "https://127.0.0.1:1", "http://host:port"},
+		{"", "mailto:coordinator", "http://host:port"},
+	} {
+		tr, err := newTransport(WorkerOptions{Coordinator: tc.url, Wire: tc.wire}, nil)
+		switch {
+		case tc.frag == "" && err != nil:
+			t.Errorf("Wire %q, URL %q: unexpected error %v", tc.wire, tc.url, err)
+		case tc.frag != "" && (err == nil || !strings.Contains(err.Error(), tc.frag)):
+			t.Errorf("Wire %q, URL %q: err = %v, want one mentioning %q", tc.wire, tc.url, err, tc.frag)
+		}
+		if tr != nil {
+			tr.Close()
+		}
+	}
+}
+
+// TestWireFleetCountersAndStatus: a sweep over two workers
 // completes with correct results, and the coordinator's socket and frame
 // counters — plus the per-connection detail in the status snapshot — all
 // report the traffic.
@@ -41,7 +93,7 @@ func TestWireFleetCountersAndStatus(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go RunWorker(ctx, WorkerOptions{
 			Coordinator: url, Name: fmt.Sprintf("bin-%d", i),
-			Poll: 5 * time.Millisecond, Kinds: []string{echoKind}, Wire: "binary",
+			Poll: 5 * time.Millisecond, Kinds: []string{echoKind},
 		})
 	}
 
@@ -58,7 +110,7 @@ func TestWireFleetCountersAndStatus(t *testing.T) {
 
 	st := coord.Stats()
 	if st.FramesIn == 0 || st.FramesOut == 0 {
-		t.Errorf("frame counters = %d in / %d out, want both > 0 (binary transport unused?)", st.FramesIn, st.FramesOut)
+		t.Errorf("frame counters = %d in / %d out, want both > 0", st.FramesIn, st.FramesOut)
 	}
 	if st.BytesIn == 0 || st.BytesOut == 0 {
 		t.Errorf("socket byte counters = %d in / %d out, want both > 0", st.BytesIn, st.BytesOut)
@@ -74,9 +126,8 @@ func TestWireFleetCountersAndStatus(t *testing.T) {
 	}
 }
 
-// TestWireAuthRejectedOnHello: a forced-binary worker with the wrong secret
-// exits with *AuthError — the terminal ERROR frame on HELLO must surface
-// exactly like an HTTP 401 does.
+// TestWireAuthRejectedOnHello: a worker with the wrong secret exits with
+// *AuthError — the terminal ERROR frame on HELLO is fatal, not retried.
 func TestWireAuthRejectedOnHello(t *testing.T) {
 	coord := NewCoordinator(CoordinatorOptions{Secret: "right"})
 	url := serveWire(t, coord)
@@ -84,38 +135,11 @@ func TestWireAuthRejectedOnHello(t *testing.T) {
 	defer cancel()
 	err := RunWorker(ctx, WorkerOptions{
 		Coordinator: url, Name: "intruder", Poll: 5 * time.Millisecond,
-		Kinds: []string{echoKind}, Secret: "wrong", Wire: "binary",
+		Kinds: []string{echoKind}, Secret: "wrong",
 	})
 	var ae *AuthError
 	if !errors.As(err, &ae) {
 		t.Fatalf("wrong-secret binary RunWorker returned %v (%T), want *AuthError", err, err)
-	}
-}
-
-// TestWireNegotiationFallsBackToHTTP: against a coordinator built with
-// Wire: "http" (no binary endpoint), an auto worker negotiates down to
-// HTTP/JSON and the sweep still completes — with zero binary frames.
-func TestWireNegotiationFallsBackToHTTP(t *testing.T) {
-	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: 2 * time.Second, Wire: "http"})
-	url := serveWire(t, coord)
-	ctx, cancel := testContext(t)
-	defer cancel()
-	go RunWorker(ctx, WorkerOptions{
-		Coordinator: url, Name: "legacy", Poll: 5 * time.Millisecond, Kinds: []string{echoKind},
-	})
-
-	outs, err := coord.Run(echoJobs(4), runner.Options{})
-	if err != nil {
-		t.Fatalf("Run over negotiated HTTP: %v", err)
-	}
-	if len(outs) != 4 {
-		t.Fatalf("got %d results, want 4", len(outs))
-	}
-	if st := coord.Stats(); st.FramesIn != 0 || st.FramesOut != 0 {
-		t.Errorf("binary frames flowed (%d in / %d out) despite Wire: \"http\"", st.FramesIn, st.FramesOut)
-	}
-	if st := coord.Stats(); st.BytesIn == 0 {
-		t.Error("socket byte counter stayed 0: HTTP fallback bypassed Serve accounting")
 	}
 }
 
@@ -150,7 +174,7 @@ func (l *killableListener) kill() {
 
 // TestWireReconnectAfterCoordinatorRestart: mid-sweep, every connection and
 // the listener die; the coordinator rebinds the same port and the
-// forced-binary workers reconnect (capped backoff) and finish the sweep.
+// workers reconnect (capped backoff) and finish the sweep.
 // Leases lost in the cut reassign via the normal TTL machinery.
 func TestWireReconnectAfterCoordinatorRestart(t *testing.T) {
 	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: 500 * time.Millisecond, LeaseBatch: 2})
@@ -167,7 +191,7 @@ func TestWireReconnectAfterCoordinatorRestart(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go RunWorker(ctx, WorkerOptions{
 			Coordinator: "http://" + addr, Name: fmt.Sprintf("phoenix-%d", i),
-			Poll: 5 * time.Millisecond, Kinds: []string{echoKind}, Wire: "binary",
+			Poll: 5 * time.Millisecond, Kinds: []string{echoKind},
 		})
 	}
 

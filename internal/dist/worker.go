@@ -33,26 +33,21 @@ type WorkerOptions struct {
 	// Poll is the idle re-poll interval when the coordinator has no work.
 	// Zero selects 500ms.
 	Poll time.Duration
-	// Client overrides the HTTP client (tests shorten timeouts; the
-	// coordinator's co-execution loop substitutes a loopback transport).
-	Client *http.Client
 	// Log, when non-nil, receives one line per lifecycle event (lease,
 	// completion, failure, fleet progress); nil is silent.
 	Log func(format string, args ...any)
-	// Secret is the shared secret sent in the X-Bashsim-Secret header of
-	// every request. It must match the coordinator's; a 401 is fatal (see
-	// AuthError) — retrying cannot fix wrong credentials.
+	// Secret is the shared secret whose SHA-256 digest opens every wire
+	// connection (the HELLO frame). It must match the coordinator's; a
+	// rejection is fatal (see AuthError) — retrying cannot fix wrong
+	// credentials.
 	Secret string
 	// MaxBatch, when positive, caps how many jobs this worker accepts per
 	// lease below the coordinator's LeaseBatch (bounded queue memory);
 	// zero accepts the coordinator's default.
 	MaxBatch int
-	// Wire selects the transport. "" (or "auto") negotiates: the binary
-	// framed protocol over one persistent connection when the coordinator
-	// speaks it, HTTP/JSON otherwise (and always HTTP when Client is set —
-	// the loopback co-execution path has no socket to upgrade). "binary"
-	// and "http" force their transport; forcing binary against a
-	// coordinator that only speaks HTTP retries with backoff forever.
+	// Wire names the transport and must be "" or "binary": the binary
+	// framed protocol over one persistent connection is the only one.
+	// Anything else is rejected at start.
 	Wire string
 	// CacheDir, when non-empty, is this worker's cell store: adverts cover
 	// its keys, relayed fetches are served from it, and fetched cells are
@@ -115,30 +110,23 @@ func (o WorkerOptions) advertInterval() time.Duration {
 	return time.Second
 }
 
-func (o WorkerOptions) client() *http.Client {
-	if o.Client != nil {
-		return o.Client
-	}
-	return http.DefaultClient
-}
-
 func (o WorkerOptions) logf(format string, args ...any) {
 	if o.Log != nil {
 		o.Log(format, args...)
 	}
 }
 
-// AuthError reports that the coordinator rejected this worker's shared
-// secret — an HTTP 401 on the JSON transport, a terminal ERROR frame
-// flagged auth-failed on the binary one. It is terminal: unlike a
-// connection error, retrying with the same credentials can never succeed,
-// so RunWorker returns it instead of degrading to idle polling.
+// AuthError reports that the coordinator rejected this client's shared
+// secret: a terminal ERROR frame flagged auth-failed on the wire, or an
+// HTTP 401 from /dist/status. It is terminal: unlike a connection error,
+// retrying with the same credentials can never succeed, so RunWorker
+// returns it instead of degrading to idle polling.
 type AuthError struct {
 	Coordinator string
 }
 
 func (e *AuthError) Error() string {
-	return fmt.Sprintf("dist: coordinator %s rejected this worker's credentials (HTTP 401): shared secret mismatch — start the worker with the coordinator's -dist-secret", e.Coordinator)
+	return fmt.Sprintf("dist: coordinator %s rejected this worker's credentials: shared secret mismatch — start the worker with the coordinator's -dist-secret", e.Coordinator)
 }
 
 // RunWorker leases and executes jobs until ctx is canceled, then returns
@@ -146,11 +134,11 @@ func (e *AuthError) Error() string {
 // heartbeat every in-flight job at a third of the lease TTL, execute the
 // batch in order, and stream each job's result back the moment it completes
 // — the result reply refills the batch, so a saturated slot stays off the
-// lease endpoint entirely. Connection errors — coordinator not up yet,
+// lease round-trip entirely. Connection errors — coordinator not up yet,
 // restarting, partitioned — degrade to idle polling, so workers may be
-// started before the coordinator and survive coordinator restarts. A 401,
-// by contrast, is fatal: RunWorker returns an *AuthError immediately
-// (wrong credentials do not fix themselves).
+// started before the coordinator and survive coordinator restarts. An
+// auth rejection, by contrast, is fatal: RunWorker returns an *AuthError
+// immediately (wrong credentials do not fix themselves).
 //
 // A worker killed mid-batch simply stops heartbeating: the coordinator
 // reassigns the unfinished jobs of the batch when their leases expire —
@@ -162,6 +150,12 @@ func (e *AuthError) Error() string {
 // executors registered — refuses to start: the coordinator grants such a
 // worker nothing, so it could only ever poll uselessly.
 func RunWorker(ctx context.Context, o WorkerOptions) error {
+	return runWorker(ctx, o, nil)
+}
+
+// runWorker is RunWorker over a given connect seam (nil dials
+// o.Coordinator); co-execution passes its in-memory pipe.
+func runWorker(ctx context.Context, o WorkerOptions, connect connectFunc) error {
 	if len(o.kinds()) == 0 {
 		return fmt.Errorf("dist: worker has no job kinds: register executors (e.g. experiments.RegisterCellExecutor) or set WorkerOptions.Kinds before starting")
 	}
@@ -178,11 +172,11 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 		}
 		defer peer.Close()
 		// Advertise the resolved address (":0" resolves to the kernel's
-		// pick) — it rides the binary HELLO and every lease request.
+		// pick) — it rides the HELLO frame and every lease request.
 		o.PeerAddr = peer.Addr()
 		o.logf("worker %s: peer listener on %s", o.name(), o.PeerAddr)
 	}
-	tr, err := newTransport(o)
+	tr, err := newTransport(o, connect)
 	if err != nil {
 		return err
 	}
@@ -211,7 +205,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 	for i := 0; i < o.slots(); i++ {
 		if err := <-errs; err != nil && fatal == nil {
 			fatal = err
-			cancel() // one slot's fatal error (401) stops the others
+			cancel() // one slot's fatal error (auth) stops the others
 		}
 	}
 	if fatal != nil {
@@ -223,7 +217,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 type worker struct {
 	opt   WorkerOptions
 	name  string
-	tr    transport
+	tr    *binaryTransport
 	store *cellstore.Store // nil when no CacheDir
 
 	// progressMu guards the last fleet progress seen across slots, so the
@@ -572,7 +566,7 @@ func (w *worker) heartbeat(ctx context.Context, done chan<- struct{}, held *infl
 // finished result to one dropped packet would waste a whole simulation) and
 // returning any refill grant carried on the reply. An auth rejection
 // returns *AuthError immediately.
-func (w *worker) postResult(ctx context.Context, job leasedJob, res resultRequest) (*resultResponse, error) {
+func (w *worker) postResult(ctx context.Context, job leasedJob, res resultRequest) (*leaseResponse, error) {
 	// Drain the direct-path delta counters onto this post. Advisory
 	// totals: a post lost after the coordinator applied it undercounts
 	// (the deltas were already zeroed), but never double-counts.

@@ -72,8 +72,8 @@ func gobDecode(data []byte, v any) error {
 // RegisterCellExecutor makes this process able to execute CellKind jobs:
 // worker processes (and the in-process runner.LocalBackend) call it at
 // startup, and so does a coordinator that co-executes
-// (dist.CoordinatorOptions.CoExecute) — its loopback worker runs through
-// this same registry. The executor runs each decoded cell through the full
+// (dist.CoordinatorOptions.CoExecute) — its in-process worker runs
+// through this same registry. The executor runs each decoded cell through the full
 // memo / store / simulate path with the given options, so a worker serves
 // cells already in its (shared) store without simulating and publishes
 // fresh ones into it — which is what lets an interrupted sweep resume with

@@ -1,21 +1,17 @@
 package experiments
 
-// BenchmarkCellFetchVsSimulate quantifies the tentpole claim of the peer
-// cell exchange: downloading a published cell over the wire (HTTP fetch +
-// fail-closed decode + raw install) must be at least an order of magnitude
-// cheaper than re-simulating it. The CI bench script parses the two
-// sub-benchmark timings and fails the build if fetch*10 > simulate.
+// BenchmarkCellFetchVsSimulate, simulate arm: re-simulate one 16-node cell
+// from scratch. The fetch arm, which downloads the same published cell as
+// a FETCH/CELL frame pair on the wire, lives under the same name in
+// internal/dist (it needs that package's transport). The peer cell
+// exchange's claim is that fetching is at least an order of magnitude
+// cheaper: the CI bench script runs both arms and fails the build if
+// fetch*10 > simulate.
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
-	"repro/internal/cellstore"
 	"repro/internal/core"
-	"repro/internal/dist"
 )
 
 func BenchmarkCellFetchVsSimulate(b *testing.B) {
@@ -25,48 +21,6 @@ func BenchmarkCellFetchVsSimulate(b *testing.B) {
 		protocol: core.BASH, nodes: 16, bandwidth: 1600,
 		seed: 42, warm: warm, measure: measure,
 	}
-	key := rc.cacheKey()
-
-	// Publish the cell once, then stand up a coordinator whose own store
-	// holds it — the fetch path a cold worker would hit.
-	warmDir, coldDir := b.TempDir(), b.TempDir()
-	metrics := runOne(o, rc)
-	if err := cellstore.For(warmDir).Put(key, metrics); err != nil {
-		b.Fatalf("publish cell: %v", err)
-	}
-	coord := dist.NewCoordinator(dist.CoordinatorOptions{CacheDir: warmDir})
-	srv := httptest.NewServer(coord.Handler())
-	b.Cleanup(srv.Close)
-	cold := cellstore.For(coldDir)
-
-	b.Run("fetch", func(b *testing.B) {
-		body, err := json.Marshal(map[string]string{"worker": "bench", "key": key})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			resp, err := http.Post(srv.URL+"/dist/fetch", "application/json", bytes.NewReader(body))
-			if err != nil {
-				b.Fatalf("fetch: %v", err)
-			}
-			var out struct {
-				Found bool   `json:"found"`
-				Raw   []byte `json:"raw"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&out)
-			resp.Body.Close()
-			if err != nil || !out.Found {
-				b.Fatalf("fetch reply: found=%v err=%v", out.Found, err)
-			}
-			var m core.Metrics
-			if err := cellstore.DecodeRaw(out.Raw, key, &m); err != nil {
-				b.Fatalf("decode fetched cell: %v", err)
-			}
-			if err := cold.PutRaw(key, out.Raw); err != nil {
-				b.Fatalf("install fetched cell: %v", err)
-			}
-		}
-	})
 
 	b.Run("simulate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -1,6 +1,6 @@
 // Package svc is the long-lived sweep service: a dist.Coordinator that
-// stays up across sweeps, accepts named submissions (POST /dist/submit on
-// the HTTP/JSON plane, the SUBMIT/SWEEP frame pair on the binary wire),
+// stays up across sweeps, accepts named submissions (the SUBMIT/SWEEP frame
+// pair on the wire, or a JSON POST /dist/submit),
 // schedules a FIFO+priority queue of sweeps across one shared worker fleet,
 // and serves live observability — per-sweep progress and TSV retrieval
 // under /sweeps, a Prometheus scrape at /metrics, and a no-JS HTML status
@@ -200,11 +200,11 @@ func (s *Service) Registry() *obs.Registry { return s.reg }
 // Handler returns the service's full HTTP handler: the job protocol under
 // /dist/ (shared-secret auth applies there as configured), read-only sweep
 // and metrics endpoints, and the status page. Mount via Serve so the
-// socket byte counters and the binary wire upgrade work.
+// socket byte counters and the wire upgrade work.
 func (s *Service) Handler() http.Handler { return s.mux }
 
-// Serve accepts connections on l until it closes, serving every plane —
-// HTTP/JSON, the binary wire upgrade, and the service's own routes.
+// Serve accepts connections on l until it closes, serving the wire
+// upgrade, /dist/status and /dist/submit, and the service's own routes.
 func (s *Service) Serve(l net.Listener) error {
 	return s.coord.ServeHandler(l, s.mux)
 }
@@ -312,7 +312,8 @@ func (s *Service) parseScale(name string) (experiments.Scale, string, error) {
 }
 
 // submit is the coordinator's submission hook: validate, queue, schedule.
-// Rejections travel in-band (SubmitResponse.Err) on both transport planes.
+// Rejections travel in-band (SubmitResponse.Err), on the wire and over
+// POST /dist/submit alike.
 func (s *Service) submit(req dist.SubmitRequest) dist.SubmitResponse {
 	if req.Exp == "" {
 		return dist.SubmitResponse{Err: "missing experiment id (see bashsim -list)"}

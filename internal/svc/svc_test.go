@@ -156,7 +156,7 @@ func TestServiceEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Draining services refuse new work, in-band, on both planes.
+	// Draining services refuse new work, in-band.
 	if _, err := dist.SubmitSweep(ctx, dist.WorkerOptions{Coordinator: base, Secret: secret},
 		dist.SubmitRequest{Exp: "fig1"}); err == nil || !strings.Contains(err.Error(), "draining") {
 		t.Errorf("submission during drain: err = %v, want draining rejection", err)
@@ -189,10 +189,20 @@ func TestSubmitRejections(t *testing.T) {
 		{dist.SubmitRequest{Exp: "fig99"}, "unknown experiment"},
 		{dist.SubmitRequest{Exp: "fig1", Scale: "medium"}, "unknown scale"},
 	} {
-		_, err := dist.SubmitSweep(ctx, dist.WorkerOptions{Coordinator: base, Wire: "http"}, tc.req)
+		_, err := dist.SubmitSweep(ctx, dist.WorkerOptions{Coordinator: base}, tc.req)
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("submit %+v: err = %v, want %q", tc.req, err, tc.frag)
 		}
+	}
+
+	// The JSON submit endpoint validates priority before queueing anything.
+	resp, err := http.Post(base+"/dist/submit", "application/json", strings.NewReader(`{"exp":"fig1","priority":-1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /dist/submit with priority -1 = %d, want 400", resp.StatusCode)
 	}
 
 	// Unknown sweep ids 404 on every read endpoint.

@@ -21,8 +21,8 @@ const TrialKind = "bashsim.trial"
 
 // RegisterTrialExecutor makes this process able to execute TrialKind jobs:
 // worker processes (and the in-process runner.LocalBackend) call it at
-// startup, as does a co-executing coordinator (its loopback worker leases
-// through the same registry). The executor serves trials already in the
+// startup, as does a co-executing coordinator (its in-process worker
+// leases through the same registry). The executor serves trials already in the
 // store under cacheDir without simulating and publishes fresh reports into
 // it; an empty cacheDir always simulates.
 func RegisterTrialExecutor(cacheDir string) {

@@ -1,8 +1,10 @@
 #!/bin/sh
 # bench-cell-exchange.sh: run BenchmarkCellFetchVsSimulate (download one
-# published 16-node cell over HTTP + fail-closed decode + raw install, vs
-# re-simulating the same cell) and convert the output into a small JSON
-# artifact, so the exchange's headline speedup is trackable per commit.
+# published 16-node cell as a FETCH frame on the wire + fail-closed decode +
+# raw install, vs re-simulating the same cell) and convert the output into
+# a small JSON artifact, so the exchange's headline speedup is trackable per
+# commit. The fetch arm lives in internal/dist and the simulate arm in
+# internal/experiments; both run under the one benchmark name.
 #
 # Usage: bench-cell-exchange.sh [output.json]  (default BENCH_cell_exchange.json)
 #
@@ -16,7 +18,7 @@ COUNT="${BENCH_EXCHANGE_ITERS:-30x}"
 TXT="$(mktemp)"
 trap 'rm -f "$TXT"' EXIT INT TERM
 
-go test -run '^$' -bench BenchmarkCellFetchVsSimulate -benchtime "$COUNT" ./internal/experiments/ | tee "$TXT"
+go test -run '^$' -bench BenchmarkCellFetchVsSimulate -benchtime "$COUNT" ./internal/dist/ ./internal/experiments/ | tee "$TXT"
 
 awk -v out="$OUT" '
     / ns\/op/ {

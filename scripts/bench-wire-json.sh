@@ -1,14 +1,13 @@
 #!/bin/sh
-# bench-wire-json.sh: run BenchmarkWireRoundTrip (binary vs HTTP transport,
-# one lease->execute->result cycle per op) and convert the output into a
-# small JSON artifact, so the per-commit transport latency and
+# bench-wire-json.sh: run BenchmarkWireRoundTrip (one lease->execute->result
+# cycle per op over the wire transport) and convert the output into a small
+# JSON artifact, so the per-commit transport latency and
 # coordinator-bytes-per-op are trackable without parsing bench text.
 #
 # Usage: bench-wire-json.sh [output.json]   (default BENCH_dist_wire.json)
 #
-# It also asserts the binary transport's headline win so a regression fails
-# the CI step instead of silently shipping: binary must move at most half
-# the coordinator bytes per op of HTTP, at equal-or-better ns/op.
+# It fails only when the benchmark produced no numbers; the figures are
+# archived, not gated.
 set -eu
 
 OUT="${1:-BENCH_dist_wire.json}"
@@ -29,23 +28,14 @@ awk -v out="$OUT" '
         }
     }
     END {
-        if (!("binary" in ns) || !("http" in ns)) {
-            print "FAIL: benchmark output missing binary or http results" > "/dev/stderr"
+        if (!("binary" in ns) || !("binary" in bytes)) {
+            print "FAIL: benchmark output missing binary results" > "/dev/stderr"
             exit 1
         }
         printf "{\n" > out
-        printf "  \"binary\": {\"ns_per_op\": %s, \"coord_bytes_per_op\": %s},\n", ns["binary"], bytes["binary"] > out
-        printf "  \"http\": {\"ns_per_op\": %s, \"coord_bytes_per_op\": %s}\n", ns["http"], bytes["http"] > out
+        printf "  \"binary\": {\"ns_per_op\": %s, \"coord_bytes_per_op\": %s}\n", ns["binary"], bytes["binary"] > out
         printf "}\n" > out
-        if (bytes["binary"] * 2 > bytes["http"]) {
-            printf "FAIL: binary moved %s coordinator B/op vs %s over HTTP (want <= 1/2)\n", bytes["binary"], bytes["http"] > "/dev/stderr"
-            exit 1
-        }
-        if (ns["binary"] + 0 > ns["http"] + 0) {
-            printf "FAIL: binary %s ns/op slower than HTTP %s ns/op\n", ns["binary"], ns["http"] > "/dev/stderr"
-            exit 1
-        }
-        printf "OK: binary %s B/op, %s ns/op vs HTTP %s B/op, %s ns/op\n", bytes["binary"], ns["binary"], bytes["http"], ns["http"]
+        printf "OK: binary %s B/op, %s ns/op\n", bytes["binary"], ns["binary"]
     }
 ' "$TXT"
 echo "wrote $OUT"
