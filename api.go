@@ -154,8 +154,7 @@ type (
 	// lease/refill round-trip counts, expired-lease reassignments, the
 	// peer-cell-exchange counters (adverts, fetches, served, relayed,
 	// false positives), and the direct-data-path counters (worker-reported
-	// direct fetches, relay fallbacks, replica puts, owner-preferred
-	// grants, and current placement-ring size).
+	// direct fetches and relay fallbacks; PeerPuts always reads 0).
 	DistStats = dist.Stats
 	// DistAuthError is the terminal error a worker returns when the
 	// coordinator rejects its shared secret (an auth-failed ERROR frame on

@@ -575,10 +575,7 @@ func runStatus(coordinator, secret string) {
 	fmt.Fprintf(w, "frames\t%d in, %d out\n", st.FramesIn, st.FramesOut)
 	fmt.Fprintf(w, "exchange\t%d adverts (%d B), %d fetches: %d served, %d relayed, %d false-pos\n",
 		st.Adverts, st.AdvertBytes, st.Fetches, st.FetchServed, st.FetchRelayed, st.FetchFalsePos)
-	fmt.Fprintf(w, "direct\t%d peer fetches, %d relay fallbacks, %d replica puts\n",
-		st.FetchDirect, st.FetchFallback, st.PeerPuts)
-	fmt.Fprintf(w, "ring\t%d workers, %d owner-preferred grants\n",
-		st.RingWorkers, st.RingOwnerGrants)
+	fmt.Fprintf(w, "direct\t%d peer fetches, %d relay fallbacks\n", st.FetchDirect, st.FetchFallback)
 	if len(st.WireConns) > 0 {
 		fmt.Fprintf(w, "\nWORKER\tREMOTE\tFRAMES IN/OUT\tBYTES IN/OUT\t\n")
 		for _, c := range st.WireConns {

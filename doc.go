@@ -167,19 +167,16 @@
 // coordinator relay, local simulation), never to a wrong result; a cold
 // worker joining a published sweep simulates nothing (the e2e tests
 // assert exactly zero). DistStats and /dist/status report advert, fetch,
-// served, relayed, false-positive, direct, fallback, and replica-put
-// counters.
+// served, relayed, false-positive, direct, and fallback counters.
 //
 // The direct data path takes the coordinator off the bulk-data transfer:
 // a worker started with DistWorkerOptions.PeerAddr (requires CacheDir)
 // serves its cell store to other workers over the framed wire — the same
-// shared-secret handshake, then FETCH/CELL and PUT/PUT_ACK only. The
-// coordinator places cells on a consistent-hash ring over live workers
-// (64 virtual nodes each, so membership changes remap about 1/workers of
-// the keyspace), prefers a key's ring owner when granting its job, hands
-// fetching workers up to two holders' peer addresses per hinted job, and
-// tells finishing workers which ring owners to replicate each published
-// cell to.
+// shared-secret handshake, then FETCH/CELL only. Adverts are the only way
+// the fleet learns where a cell lives: no worker is assigned keys, and a
+// worker never pushes a cell to a peer. The coordinator hands a fetching worker up
+// to two advertised holders' peer addresses per hinted job, freshest
+// advert first.
 //
 // Three properties make the fleet exact and restartable:
 //
@@ -187,7 +184,7 @@
 //     fold in job order, so the TSV is byte-identical at any fleet size,
 //     worker death included (the test suite kills a worker mid-sweep and
 //     diffs the bytes).
-//   - Placement independence: workers publish finished cells into the
+//   - Worker independence: workers publish finished cells into the
 //     shared content-addressed store, so it never matters who simulated
 //     what; cells already in the coordinator's memo or store are served
 //     locally and never dispatched.

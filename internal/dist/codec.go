@@ -20,7 +20,7 @@ import (
 // the coordinator does not speak gets a plain HTTP refusal (426) and fails
 // with wire.ErrNotWire — mixed builds fail at the upgrade with a
 // description instead of on a frame parse mid-sweep.
-const wireProtoName = "bashsim-wire/3"
+const wireProtoName = "bashsim-wire/4"
 
 // Parse bounds: generous multiples of anything the protocol produces, tight
 // enough that a malformed length fails immediately instead of allocating.
@@ -29,7 +29,7 @@ const (
 	maxWireKinds = 1 << 10
 	maxWireJobs  = 1 << 16
 	maxWireSeeds = 1 << 12 // per-sweep seed-list override
-	maxWireAddrs = 1 << 4  // holder/owner peer addresses per granted job
+	maxWireAddrs = 1 << 4  // holder peer addresses per granted job
 )
 
 // byteReader is a strict cursor over one message payload.
@@ -228,10 +228,6 @@ func appendGrant(b []byte, resp leaseResponse) []byte {
 		for _, a := range j.Holders {
 			b = appendString(b, a)
 		}
-		b = appendUvarint(b, uint64(len(j.Owners)))
-		for _, a := range j.Owners {
-			b = appendString(b, a)
-		}
 	}
 	return b
 }
@@ -260,12 +256,6 @@ func parseGrant(p []byte) (leaseResponse, error) {
 				j.Holders = make([]string, n)
 				for i := range j.Holders {
 					j.Holders[i] = r.str("holder address", maxWireStr)
-				}
-			}
-			if n := r.count("owner addresses", maxWireAddrs); r.err == nil && n > 0 {
-				j.Owners = make([]string, n)
-				for i := range j.Owners {
-					j.Owners[i] = r.str("owner address", maxWireStr)
 				}
 			}
 		}
@@ -324,7 +314,6 @@ func appendResultRequest(b []byte, req resultRequest) []byte {
 	b = appendUvarint(b, uint64(req.Refill))
 	b = appendUvarint(b, req.FetchDirect)
 	b = appendUvarint(b, req.FetchFallback)
-	b = appendUvarint(b, req.PeerPuts)
 	b = appendUvarint(b, uint64(len(req.Kinds)))
 	for _, k := range req.Kinds {
 		b = appendString(b, k)
@@ -344,7 +333,6 @@ func parseResultRequest(p []byte) (resultRequest, error) {
 	req.Refill = int(r.uvarint("refill"))
 	req.FetchDirect = r.uvarint("direct fetches")
 	req.FetchFallback = r.uvarint("fallback fetches")
-	req.PeerPuts = r.uvarint("peer puts")
 	if n := r.count("kinds", maxWireKinds); r.err == nil && n > 0 {
 		req.Kinds = make([]string, n)
 		for i := range req.Kinds {
@@ -477,39 +465,4 @@ func parseSweep(p []byte) (SubmitResponse, error) {
 	resp.Position = int(r.uvarint("queue position"))
 	resp.Err = r.str("submit error", maxWireStr)
 	return resp, r.finish("sweep")
-}
-
-// --- PUT / PUT-ACK (peer-to-peer cell replication) -----------------------
-
-func appendPut(b []byte, req putRequest) []byte {
-	b = appendString(b, req.Worker)
-	b = appendString(b, req.Key)
-	// The raw entry rides last so large cells append in one copy.
-	return appendBytes(b, req.Raw)
-}
-
-func parsePut(p []byte) (putRequest, error) {
-	r := &byteReader{p: p}
-	var req putRequest
-	req.Worker = r.str("worker name", maxWireStr)
-	req.Key = r.str("cell key", maxWireStr)
-	req.Raw = r.bytes("raw cell entry", wire.MaxPayload)
-	if err := r.finish("put"); err != nil {
-		return req, err
-	}
-	if len(req.Raw) == 0 {
-		return req, fmt.Errorf("dist: put message: empty cell payload")
-	}
-	return req, nil
-}
-
-func appendPutAck(b []byte, resp putResponse) []byte {
-	return appendBool(b, resp.Accepted)
-}
-
-func parsePutAck(p []byte) (putResponse, error) {
-	r := &byteReader{p: p}
-	var resp putResponse
-	resp.Accepted = r.bool("put accepted flag")
-	return resp, r.finish("put ack")
 }

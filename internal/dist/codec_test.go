@@ -3,7 +3,10 @@ package dist
 import (
 	"crypto/sha256"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/dist/wire"
 )
 
 func TestCodecRoundTrips(t *testing.T) {
@@ -89,28 +92,11 @@ func TestCodecRoundTrips(t *testing.T) {
 		}
 		counted := resultRequest{
 			Worker: "w", JobID: 46, Result: []byte("r"),
-			FetchDirect: 3, FetchFallback: 1, PeerPuts: 2,
+			FetchDirect: 3, FetchFallback: 1,
 		}
 		got, err = parseResultRequest(appendResultRequest(nil, counted))
 		if err != nil || !reflect.DeepEqual(got, counted) {
 			t.Fatalf("counted result: got %+v, %v", got, err)
-		}
-	})
-
-	t.Run("put", func(t *testing.T) {
-		want := putRequest{Worker: "w", Key: "abcd", Raw: []byte("gob envelope bytes")}
-		got, err := parsePut(appendPut(nil, want))
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("got %+v, %v; want %+v", got, err, want)
-		}
-		accepted := putResponse{Accepted: true}
-		gotAck, err := parsePutAck(appendPutAck(nil, accepted))
-		if err != nil || gotAck != accepted {
-			t.Fatalf("ack: got %+v, %v", gotAck, err)
-		}
-		refused, err := parsePutAck(appendPutAck(nil, putResponse{}))
-		if err != nil || refused.Accepted {
-			t.Fatalf("refusal: got %+v, %v", refused, err)
 		}
 	})
 
@@ -129,9 +115,8 @@ func TestCodecRoundTrips(t *testing.T) {
 		want := leaseResponse{
 			Jobs: []leasedJob{
 				{JobID: 1, Kind: "k", Key: "x", Held: true,
-					Holders: []string{"10.0.0.2:9102", "10.0.0.3:9102"},
-					Owners:  []string{"10.0.0.4:9102"}},
-				{JobID: 2, Kind: "k", Key: "y", Owners: []string{"10.0.0.2:9102"}},
+					Holders: []string{"10.0.0.2:9102", "10.0.0.3:9102"}},
+				{JobID: 2, Kind: "k", Key: "y"},
 			},
 			LeaseMillis: 1000, Total: 2,
 		}
@@ -217,6 +202,12 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	}
 	if _, _, _, err := parseHello([]byte{0xFF}); err == nil {
 		t.Error("garbage hello parsed")
+	}
+	// A peer one protocol version behind fails at the handshake.
+	old := appendHello(nil, "w", make([]byte, sha256.Size), "")
+	old[0] = wire.Version - 1
+	if _, _, _, err := parseHello(old); err == nil || !strings.Contains(err.Error(), "protocol version") {
+		t.Errorf("hello from the previous protocol version: err = %v", err)
 	}
 	if _, err := parseLeaseRequest([]byte{1, 'w', 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}); err == nil {
 		t.Error("lease request with absurd kind count parsed")
@@ -318,28 +309,6 @@ func TestCodecRejectsMalformed(t *testing.T) {
 		t.Error("grant with absurd holder count parsed")
 	}
 
-	put := appendPut(nil, putRequest{Worker: "w", Key: "k", Raw: []byte("raw")})
-	if _, err := parsePut(put[:len(put)-1]); err == nil {
-		t.Error("truncated put parsed")
-	}
-	if _, err := parsePut(append(put, 0)); err == nil {
-		t.Error("put with trailing bytes parsed")
-	}
-	// A PUT with no payload is contradictory — there is nothing to install.
-	hollow := appendString(nil, "w")
-	hollow = appendString(hollow, "k")
-	hollow = appendBytes(hollow, nil)
-	if _, err := parsePut(hollow); err == nil {
-		t.Error("empty-payload put parsed")
-	}
-	ack := appendPutAck(nil, putResponse{Accepted: true})
-	if _, err := parsePutAck(ack[:len(ack)-1]); err == nil {
-		t.Error("truncated put-ack parsed")
-	}
-	if _, err := parsePutAck(append(ack, 0)); err == nil {
-		t.Error("put-ack with trailing bytes parsed")
-	}
-
 	cell := appendCell(nil, fetchResponse{Found: true, Raw: []byte("raw")})
 	if _, err := parseCell(cell[:len(cell)-1]); err == nil {
 		t.Error("truncated cell parsed")
@@ -360,12 +329,12 @@ func TestCodecRejectsMalformed(t *testing.T) {
 // out-of-bounds — over arbitrary bytes.
 func FuzzCodecParsers(f *testing.F) {
 	f.Add(appendGrant(nil, leaseResponse{Jobs: []leasedJob{{JobID: 1, Kind: "k", Spec: []byte{1}}}, LeaseMillis: 5}))
-	f.Add(appendGrant(nil, leaseResponse{Jobs: []leasedJob{{JobID: 1, Kind: "k", Key: "x", Held: true, Holders: []string{"h:1"}, Owners: []string{"o:1"}}}, LeaseMillis: 5}))
+	f.Add(appendGrant(nil, leaseResponse{Jobs: []leasedJob{{JobID: 1, Kind: "k", Key: "x", Held: true, Holders: []string{"h:1", "h:2"}}}, LeaseMillis: 5}))
 	f.Add(appendResultRequest(nil, resultRequest{Worker: "w", JobID: 2, Result: []byte("r")}))
-	f.Add(appendResultRequest(nil, resultRequest{Worker: "w", JobID: 2, Result: []byte("r"), FetchDirect: 1, FetchFallback: 2, PeerPuts: 3}))
+	f.Add(appendResultRequest(nil, resultRequest{Worker: "w", JobID: 2, Result: []byte("r"), FetchDirect: 1, FetchFallback: 2}))
 	f.Add(appendHello(nil, "w", make([]byte, sha256.Size), "peer:9102"))
-	f.Add(appendPut(nil, putRequest{Worker: "w", Key: "k", Raw: []byte("raw")}))
-	f.Add(appendPutAck(nil, putResponse{Accepted: true}))
+	f.Add(appendLeaseRequest(nil, leaseRequest{Worker: "w", Peer: "peer:9102", Kinds: []string{"k"}, Max: 2}))
+	f.Add(appendHeartbeatRequest(nil, heartbeatRequest{Worker: "w", JobIDs: []int64{1, 2}}))
 	f.Add(appendAdvert(nil, advertRequest{Worker: "w", Gen: 1, Full: true, M: 64, K: 3, Bits: make([]byte, 8)}))
 	f.Add(appendFetchRequest(nil, fetchRequest{Worker: "w", Key: "k"}))
 	f.Add(appendCell(nil, fetchResponse{Found: true, Raw: []byte("raw entry")}))
@@ -385,8 +354,6 @@ func FuzzCodecParsers(f *testing.F) {
 		parseCell(data)
 		parseSubmit(data)
 		parseSweep(data)
-		parsePut(data)
-		parsePutAck(data)
 	})
 }
 
@@ -400,8 +367,8 @@ func FuzzPeerCodec(f *testing.F) {
 	f.Add(appendHello(nil, "w", digest[:], "10.0.0.7:9102"))
 	f.Add(appendFetchRequest(nil, fetchRequest{Worker: "w", Key: "abcd"}))
 	f.Add(appendCell(nil, fetchResponse{Found: true, Raw: []byte("raw entry")}))
-	f.Add(appendPut(nil, putRequest{Worker: "w", Key: "abcd", Raw: []byte("raw entry")}))
-	f.Add(appendPutAck(nil, putResponse{Accepted: true}))
+	f.Add(appendCell(nil, fetchResponse{}))
+	f.Add(appendHello(nil, "w", digest[:], ""))
 	f.Add(appendWelcome(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -409,7 +376,5 @@ func FuzzPeerCodec(f *testing.F) {
 		parseWelcome(data)
 		parseFetchRequest(data)
 		parseCell(data)
-		parsePut(data)
-		parsePutAck(data)
 	})
 }

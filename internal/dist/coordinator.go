@@ -96,7 +96,6 @@ type trackedJob struct {
 	index    int    // index into the batch's job list
 	b        *batch // owning batch (concurrent Runs interleave in one queue)
 	job      runner.Job
-	keyHash  uint64 // ring position of job.Key, computed once at enqueue
 	state    jobState
 	worker   string    // current (or last) lease holder
 	deadline time.Time // lease expiry when leased
@@ -164,12 +163,8 @@ type Coordinator struct {
 	workers  map[string]time.Time  // worker name -> last contact
 	draining bool                  // Drain called: grant nothing, let leases finish
 
-	// Consistent-hash placement over the registered workers (ring.go):
-	// every contact adds the worker, liveness expiry removes it, and
-	// grantLocked prefers offering each job to its Key's ring owner.
 	// peerAddrs maps workers to their advertised peer listener addresses
-	// (only workers serving peers appear). Both guarded by mu.
-	placement ring
+	// (only workers serving peers appear). Guarded by mu.
 	peerAddrs map[string]string
 
 	// submitMu guards the sweep-submission hook, installed by the service
@@ -199,7 +194,6 @@ type Coordinator struct {
 	leases, refills, dispatched, completed, failed, reassigned atomic.Uint64
 	bytesIn, bytesOut                                          atomic.Uint64 // socket-level, via Serve
 	framesIn, framesOut                                        atomic.Uint64 // wire frames, all connections
-	ringOwnerGrants                                            atomic.Uint64 // jobs granted to their ring owner
 }
 
 // NewCoordinator returns an idle coordinator.
@@ -309,12 +303,7 @@ func (c *Coordinator) authenticate(next http.Handler) http.Handler {
 
 // Stats returns lifetime dispatch and transport counters.
 func (c *Coordinator) Stats() Stats {
-	c.mu.Lock()
-	ringWorkers := c.placement.size()
-	c.mu.Unlock()
 	return Stats{
-		RingWorkers: ringWorkers,
-
 		Leases:     c.leases.Load(),
 		Refills:    c.refills.Load(),
 		Dispatched: c.dispatched.Load(),
@@ -333,10 +322,8 @@ func (c *Coordinator) Stats() Stats {
 		FetchRelayed:  c.exch.relayed.Load(),
 		FetchFalsePos: c.exch.fetchMissing.Load(),
 
-		FetchDirect:     c.exch.direct.Load(),
-		FetchFallback:   c.exch.fallback.Load(),
-		PeerPuts:        c.exch.peerPuts.Load(),
-		RingOwnerGrants: c.ringOwnerGrants.Load(),
+		FetchDirect:   c.exch.direct.Load(),
+		FetchFallback: c.exch.fallback.Load(),
 	}
 }
 
@@ -355,20 +342,18 @@ func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 			n++
 		} else {
 			delete(c.workers, name)
-			c.placement.remove(name)
 			delete(c.peerAddrs, name)
 		}
 	}
 	return n
 }
 
-// registerWorkerLocked records a worker contact: liveness timestamp, ring
-// membership, and (when the contact carried one) its peer listener address.
+// registerWorkerLocked records a worker contact: liveness timestamp and
+// (when the contact carried one) its peer listener address.
 // peer == "" leaves any previously registered address alone — heartbeats
 // and results don't re-send it.
 func (c *Coordinator) registerWorkerLocked(name, peer string, now time.Time) {
 	c.workers[name] = now
-	c.placement.add(name)
 	if peer != "" {
 		c.peerAddrs[name] = peer
 	}
@@ -408,7 +393,7 @@ func (c *Coordinator) RunPriority(jobs []runner.Job, opt runner.Options, priorit
 	c.mu.Lock()
 	for i, j := range jobs {
 		c.nextID++
-		tj := &trackedJob{id: c.nextID, index: i, b: b, job: j, keyHash: ringKeyHash(j.Key)}
+		tj := &trackedJob{id: c.nextID, index: i, b: b, job: j}
 		b.jobs[i] = tj
 		c.enqueueLocked(tj)
 	}
@@ -661,58 +646,20 @@ func (c *Coordinator) finishLocked(b *batch, tj *trackedJob, result []byte, err 
 }
 
 // grantLocked dequeues up to max pending jobs matching the worker's kinds
-// and leases them to it. A worker advertising no kinds can execute nothing:
-// grant it nothing rather than jobs it would terminally fail (one
-// misconfigured worker must not abort a healthy fleet's batch).
-//
-// With more than one worker on the placement ring the scan runs twice:
-// first over jobs whose Key the ring assigns to this worker (so cells are
-// simulated — and published — where fetches will look for them), then over
-// anything else to fill the batch. Placement preference never starves a
-// worker: an owner that is slow or gone just sees its jobs taken in some
-// other worker's second pass.
+// and leases them to it, in queue order: (priority desc, id asc), so a
+// higher-priority batch's jobs are always granted first (the RunPriority
+// contract) and equal priorities drain FIFO. A worker advertising no kinds
+// can execute nothing: grant it nothing rather than jobs it would
+// terminally fail (one misconfigured worker must not abort a healthy
+// fleet's batch).
 func (c *Coordinator) grantLocked(now time.Time, worker string, kinds map[string]bool, max int) []*trackedJob {
 	if c.draining {
 		return nil // drain mode: let held leases finish, hand out nothing new
 	}
 	var grants []*trackedJob
-	// The queue is sorted by (priority desc, id asc); placement preference
-	// reorders only within one priority segment, so a higher-priority
-	// batch's jobs are still always granted first (the RunPriority
-	// contract).
-	prefer := c.placement.size() > 1 && c.placement.members[worker]
-	for lo := 0; lo < len(c.queue) && len(grants) < max; {
-		hi := lo + 1
-		for hi < len(c.queue) && c.queue[hi].b.priority == c.queue[lo].b.priority {
-			hi++
-		}
-		if prefer {
-			grants = c.scanSegmentLocked(now, worker, kinds, max, grants, lo, &hi, true)
-		}
-		grants = c.scanSegmentLocked(now, worker, kinds, max, grants, lo, &hi, false)
-		lo = hi
-	}
-	if c.placement.size() > 0 {
-		for _, tj := range grants {
-			if c.placement.ownerHash(tj.keyHash) == worker {
-				c.ringOwnerGrants.Add(1)
-			}
-		}
-	}
-	c.dispatched.Add(uint64(len(grants)))
-	return grants
-}
-
-// scanSegmentLocked is one grant pass over the queue segment [lo, *hi): it
-// appends pending jobs matching the worker's kinds (and, when ownedOnly,
-// owned by it on the placement ring) to grants until max, leasing each.
-// Granted jobs are removed from the queue in place, shrinking *hi so the
-// caller's segment bounds stay valid.
-func (c *Coordinator) scanSegmentLocked(now time.Time, worker string, kinds map[string]bool, max int, grants []*trackedJob, lo int, hi *int, ownedOnly bool) []*trackedJob {
-	for qi := lo; qi < *hi && len(grants) < max; {
+	for qi := 0; qi < len(c.queue) && len(grants) < max; {
 		tj := c.queue[qi]
-		if tj.state != jobPending || !kinds[tj.job.Kind] ||
-			(ownedOnly && c.placement.ownerHash(tj.keyHash) != worker) {
+		if tj.state != jobPending || !kinds[tj.job.Kind] {
 			qi++
 			continue
 		}
@@ -721,7 +668,6 @@ func (c *Coordinator) scanSegmentLocked(now time.Time, worker string, kinds map[
 		c.queue = append(c.queue[:qi], c.queue[qi+1:]...)
 		clearTail := c.queue[:len(c.queue)+1]
 		clearTail[len(clearTail)-1] = nil // release the shifted-out tail slot
-		*hi--
 		tj.state = jobLeased
 		tj.worker = worker
 		tj.deadline = now.Add(c.opt.leaseTTL())
@@ -729,6 +675,7 @@ func (c *Coordinator) scanSegmentLocked(now time.Time, worker string, kinds map[
 		c.pending--
 		grants = append(grants, tj)
 	}
+	c.dispatched.Add(uint64(len(grants)))
 	return grants
 }
 
@@ -833,11 +780,10 @@ func (c *Coordinator) heartbeatRPC(req heartbeatRequest) heartbeatResponse {
 // requested refill.
 func (c *Coordinator) resultRPC(req resultRequest) leaseResponse {
 	// Fold the worker's fetch-path delta counters into the exchange totals
-	// (direct fetches and peer puts never touch the coordinator's socket,
-	// so this is the only place it learns about them).
+	// (direct fetches never touch the coordinator's socket, so this is the
+	// only place it learns about them).
 	c.exch.direct.Add(req.FetchDirect)
 	c.exch.fallback.Add(req.FetchFallback)
-	c.exch.peerPuts.Add(req.PeerPuts)
 	now := time.Now()
 	c.mu.Lock()
 	c.registerWorkerLocked(req.Worker, "", now)
@@ -925,14 +871,11 @@ func (c *Coordinator) statusSnapshot() StatusSnapshot {
 		FetchRelayed:  st.FetchRelayed,
 		FetchFalsePos: st.FetchFalsePos,
 
-		FetchDirect:     st.FetchDirect,
-		FetchFallback:   st.FetchFallback,
-		PeerPuts:        st.PeerPuts,
-		RingOwnerGrants: st.RingOwnerGrants,
+		FetchDirect:   st.FetchDirect,
+		FetchFallback: st.FetchFallback,
 	}
 	resp.Active = len(c.batches) > 0
 	resp.Draining = c.draining
-	resp.RingWorkers = c.placement.size()
 	resp.Done, resp.Total = c.progressLocked()
 	c.mu.Unlock()
 	c.wireMu.Lock()

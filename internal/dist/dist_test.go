@@ -16,6 +16,7 @@ import (
 	"repro/internal/cellstore"
 	"repro/internal/dist"
 	"repro/internal/experiments"
+	"repro/internal/runner"
 )
 
 // fig1Cells is the quick-scale fig1 grid: 3 protocols x 5 bandwidths x 1 seed.
@@ -203,12 +204,13 @@ func TestDistResumeAfterInterruption(t *testing.T) {
 	}
 
 	// Drain stragglers: a cell in flight at cancellation still finishes on
-	// its worker and is published; wait for the store to go quiet.
+	// its worker and is published; wait until no job is executing and the
+	// store has gone quiet.
 	stableSince := time.Now()
 	_, _, lastWrites := st.Counters()
 	for time.Since(stableSince) < 300*time.Millisecond {
 		time.Sleep(25 * time.Millisecond)
-		if _, _, w := st.Counters(); w != lastWrites {
+		if _, _, w := st.Counters(); w != lastWrites || runner.InFlight() != 0 {
 			lastWrites, stableSince = w, time.Now()
 		}
 	}

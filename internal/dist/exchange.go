@@ -12,6 +12,7 @@ package dist
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,7 +49,7 @@ type exchange struct {
 	fetches, served, relayed, fetchMissing atomic.Uint64
 	// Worker-reported direct-path totals, folded in from the delta counters
 	// on result posts (the traffic itself bypasses the coordinator).
-	direct, fallback, peerPuts atomic.Uint64
+	direct, fallback atomic.Uint64
 }
 
 func newExchange(cacheDir string) *exchange {
@@ -105,21 +106,14 @@ func (x *exchange) holders(requester, key string) []string {
 	}
 	var cands []cand
 	for name, e := range x.table {
-		if name == requester || !e.filter.contains(key) {
-			continue
+		if name != requester && e.filter.contains(key) {
+			cands = append(cands, cand{name, e.when})
 		}
-		cands = append(cands, cand{name, e.when})
 	}
-	out := make([]string, 0, len(cands))
-	for len(cands) > 0 {
-		best := 0
-		for i, c := range cands {
-			if c.when.After(cands[best].when) {
-				best = i
-			}
-		}
-		out = append(out, cands[best].name)
-		cands = append(cands[:best], cands[best+1:]...)
+	slices.SortFunc(cands, func(a, b cand) int { return b.when.Compare(a.when) })
+	out := make([]string, len(cands))
+	for i, c := range cands {
+		out[i] = c.name
 	}
 	return out
 }
@@ -152,62 +146,32 @@ func (c *Coordinator) advertRPC(req advertRequest, wireBytes int, conn *wireConn
 	c.exch.noteAdvert(req, wireBytes, conn)
 }
 
-// maxGrantAddrs caps how many holder and owner peer addresses ride on one
-// granted job: enough for a primary plus a backup on each list, small
-// enough that grants stay cheap even on a large fleet.
+// maxGrantAddrs caps how many holder peer addresses ride on one granted
+// job: enough for a primary plus a backup, small enough that grants stay
+// cheap even on a large fleet.
 const maxGrantAddrs = 2
 
 // annotateHints marks each granted job with the exchange's likely-holder
-// verdict and, when peers serve their stores, the holder/owner peer
-// addresses for the direct data path. Runs outside the coordinator mutex:
-// Contains stats the store's filesystem and the indicator table has its own
-// lock (the peer-address snapshot re-takes c.mu briefly).
+// verdict and, for held jobs, the peer addresses of the advertised holders
+// that serve peers (freshest first) for the direct data path. The lookups
+// run outside the coordinator mutex: Contains stats the store's filesystem
+// and the indicator table has its own lock; c.mu is taken once, for the
+// peer addresses.
 func (c *Coordinator) annotateHints(worker string, jobs []leasedJob) {
+	holders := make([][]string, len(jobs))
 	for i := range jobs {
 		jobs[i].Held = c.exch.likelyHeld(worker, jobs[i].Key)
-	}
-	c.annotatePeers(worker, jobs)
-}
-
-// annotatePeers fills each job's Holders (advertised holders with a peer
-// listener, freshest first) and Owners (the Key's ring owners' peer
-// addresses, for replication pushes). Both lists exclude the leased worker
-// and workers without a peer listener; with no peer listeners registered
-// anywhere the grant shape is exactly the v4 one.
-func (c *Coordinator) annotatePeers(worker string, jobs []leasedJob) {
-	c.mu.Lock()
-	if len(c.peerAddrs) == 0 {
-		c.mu.Unlock()
-		return
-	}
-	addrs := make(map[string]string, len(c.peerAddrs))
-	for w, a := range c.peerAddrs {
-		addrs[w] = a
-	}
-	owners := make([][]string, len(jobs))
-	for i := range jobs {
-		owners[i] = c.placement.owners(jobs[i].Key, maxGrantAddrs+1)
-	}
-	c.mu.Unlock()
-
-	for i := range jobs {
 		if jobs[i].Held {
-			for _, h := range c.exch.holders(worker, jobs[i].Key) {
-				if a := addrs[h]; a != "" {
-					jobs[i].Holders = append(jobs[i].Holders, a)
-					if len(jobs[i].Holders) == maxGrantAddrs {
-						break
-					}
-				}
-			}
+			holders[i] = c.exch.holders(worker, jobs[i].Key)
 		}
-		for _, o := range owners[i] {
-			if o == worker {
-				continue
-			}
-			if a := addrs[o]; a != "" {
-				jobs[i].Owners = append(jobs[i].Owners, a)
-				if len(jobs[i].Owners) == maxGrantAddrs {
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, hs := range holders {
+		for _, h := range hs {
+			if a := c.peerAddrs[h]; a != "" {
+				jobs[i].Holders = append(jobs[i].Holders, a)
+				if len(jobs[i].Holders) == maxGrantAddrs {
 					break
 				}
 			}

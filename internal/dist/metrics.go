@@ -32,8 +32,6 @@ func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("bashsim_fetch_false_positive_total", "fetches that found nothing anywhere (indicator false positives)", c.exch.fetchMissing.Load)
 	r.CounterFunc("bashsim_fetch_direct_total", "worker-reported direct peer-to-peer fetches (bypassed the coordinator)", c.exch.direct.Load)
 	r.CounterFunc("bashsim_fetch_fallback_total", "worker-reported relay fetches after a failed direct attempt", c.exch.fallback.Load)
-	r.CounterFunc("bashsim_peer_puts_total", "worker-reported replication pushes accepted by ring owners", c.exch.peerPuts.Load)
-	r.CounterFunc("bashsim_ring_owner_grants_total", "jobs granted to their key's consistent-hash ring owner", c.ringOwnerGrants.Load)
 
 	r.Collect("bashsim_wire_bytes_total", "socket-level bytes through Coordinator.Serve by direction", "counter",
 		func(emit func(v float64, labels ...obs.Label)) {
@@ -48,12 +46,6 @@ func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
 
 	r.GaugeFunc("bashsim_workers", "workers heard from within the liveness window", func() float64 {
 		return float64(c.Workers())
-	})
-	r.GaugeFunc("bashsim_ring_workers", "workers currently on the placement ring", func() float64 {
-		c.mu.Lock()
-		n := c.placement.size()
-		c.mu.Unlock()
-		return float64(n)
 	})
 	r.GaugeFunc("bashsim_wire_conns", "live binary wire connections", func() float64 {
 		c.wireMu.Lock()

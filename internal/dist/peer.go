@@ -5,14 +5,14 @@ package dist
 // coordinator off the bulk-data path. The listener speaks the same framed
 // wire as everything else — raw TCP (both ends already speak frames, so no
 // HTTP upgrade), a HELLO/WELCOME handshake authenticated with the same
-// shared-secret digest as coordinator connections, then exactly two
-// request/reply pairs: FETCH→CELL (serve one raw entry) and PUT→PUT-ACK
-// (install one replicated entry, verified fail-closed before it touches the
-// store). Anything else is a terminal ERROR, like the coordinator's wire.
+// shared-secret digest as coordinator connections, then one request/reply
+// pair: FETCH→CELL (serve one raw entry). Anything else is a terminal
+// ERROR, like the coordinator's wire. A peer listener never accepts
+// writes: a worker's store holds only what it simulated or fetched itself.
 //
 // Clients dial per operation: direct fetches happen in bursts during a cold
-// worker's warm-up and replication pushes at publish time, so connection
-// reuse buys little against the simplicity of no per-peer session state.
+// worker's warm-up, so connection reuse buys little against the simplicity
+// of no per-peer session state.
 // Every failure — dial, handshake, timeout, verification — degrades to the
 // next tier (coordinator relay, then local simulation), never to a wrong
 // result.
@@ -136,8 +136,8 @@ func (p *peerServer) acceptLoop() {
 	}
 }
 
-// serve runs one peer connection: handshake, then FETCH/PUT frames until
-// the peer hangs up, idles out, or violates the protocol.
+// serve runs one peer connection: handshake, then FETCH frames until the
+// peer hangs up, idles out, or violates the protocol.
 func (p *peerServer) serve(conn net.Conn) {
 	defer conn.Close()
 	if !p.track(conn) {
@@ -172,46 +172,25 @@ func (p *peerServer) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		switch h.Type {
-		case wire.FrameFetch:
-			req, err := parseFetchRequest(payload)
-			if err != nil {
-				wr.WriteFrame(wire.FrameError, 0, h.Stream, []byte(err.Error()))
-				return
-			}
-			var resp fetchResponse
-			if raw, ok := p.store.GetRaw(req.Key); ok {
-				resp = fetchResponse{Found: true, Raw: raw}
-			}
-			buf := wire.GetBuffer()
-			*buf = appendCell(*buf, resp)
-			err = wr.WriteFrame(wire.FrameCell, 0, h.Stream, *buf)
-			wire.PutBuffer(buf)
-			if err != nil {
-				return
-			}
-		case wire.FramePut:
-			req, err := parsePut(payload)
-			if err != nil {
-				wr.WriteFrame(wire.FrameError, 0, h.Stream, []byte(err.Error()))
-				return
-			}
-			// Fail closed exactly like a fetched cell: a replica that does
-			// not verify against its key never touches the store.
-			var resp putResponse
-			if cellstore.VerifyRaw(req.Key, req.Raw) == nil && p.store.PutRaw(req.Key, req.Raw) == nil {
-				resp.Accepted = true
-			}
-			buf := wire.GetBuffer()
-			*buf = appendPutAck(*buf, resp)
-			err = wr.WriteFrame(wire.FramePutAck, 0, h.Stream, *buf)
-			wire.PutBuffer(buf)
-			if err != nil {
-				return
-			}
-		default:
+		if h.Type != wire.FrameFetch {
 			wr.WriteFrame(wire.FrameError, 0, h.Stream,
 				[]byte("dist: unexpected "+wire.TypeName(h.Type)+" frame on a peer connection"))
+			return
+		}
+		req, err := parseFetchRequest(payload)
+		if err != nil {
+			wr.WriteFrame(wire.FrameError, 0, h.Stream, []byte(err.Error()))
+			return
+		}
+		var resp fetchResponse
+		if raw, ok := p.store.GetRaw(req.Key); ok {
+			resp = fetchResponse{Found: true, Raw: raw}
+		}
+		buf := wire.GetBuffer()
+		*buf = appendCell(*buf, resp)
+		err = wr.WriteFrame(wire.FrameCell, 0, h.Stream, *buf)
+		wire.PutBuffer(buf)
+		if err != nil {
 			return
 		}
 	}
@@ -219,46 +198,32 @@ func (p *peerServer) serve(conn net.Conn) {
 
 // --- Peer client ---------------------------------------------------------
 
-// dialPeer establishes one authenticated peer connection within ctx's
-// deadline. The caller owns the returned conn.
-func dialPeer(ctx context.Context, addr, worker, secret string) (net.Conn, *wire.Reader, *wire.Writer, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-	}
-	wr := wire.NewWriter(conn)
-	if err := writeHello(wr, worker, secret, ""); err != nil {
-		conn.Close()
-		return nil, nil, nil, err
-	}
-	rd := wire.NewReader(conn)
-	h, payload, err := rd.ReadFrame()
-	if err != nil || h.Type != wire.FrameWelcome || parseWelcome(payload) != nil {
-		conn.Close()
-		if err == nil {
-			err = wire.ErrNotWire
-		}
-		return nil, nil, nil, err
-	}
-	return conn, rd, wr, nil
-}
-
 // peerFetch fetches one raw cell entry directly from a holder's peer
-// listener. Returns ok=false on any failure — the caller falls back to the
-// coordinator relay. The returned bytes are unverified; the caller checks
-// them against the key before trusting anything.
+// listener: dial, authenticate, one FETCH→CELL exchange, all within
+// peerOpTimeout. Returns ok=false on any failure — the caller falls back to
+// the coordinator relay. The returned bytes are unverified; the caller
+// checks them against the key before trusting anything.
 func peerFetch(ctx context.Context, addr, worker, secret, key string) ([]byte, bool) {
 	ctx, cancel := context.WithTimeout(ctx, peerOpTimeout)
 	defer cancel()
-	conn, rd, wr, err := dialPeer(ctx, addr, worker, secret)
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, false
 	}
 	defer conn.Close()
+	if dl, ok := ctx.Deadline(); ok {
+		conn.SetDeadline(dl)
+	}
+	wr := wire.NewWriter(conn)
+	if writeHello(wr, worker, secret, "") != nil {
+		return nil, false
+	}
+	rd := wire.NewReader(conn)
+	h, payload, err := rd.ReadFrame()
+	if err != nil || h.Type != wire.FrameWelcome || parseWelcome(payload) != nil {
+		return nil, false
+	}
 	buf := wire.GetBuffer()
 	*buf = appendFetchRequest(*buf, fetchRequest{Worker: worker, Key: key})
 	err = wr.WriteFrame(wire.FrameFetch, 0, 1, *buf)
@@ -266,7 +231,7 @@ func peerFetch(ctx context.Context, addr, worker, secret, key string) ([]byte, b
 	if err != nil {
 		return nil, false
 	}
-	h, payload, err := rd.ReadFrame()
+	h, payload, err = rd.ReadFrame()
 	if err != nil || h.Type != wire.FrameCell {
 		return nil, false
 	}
@@ -275,30 +240,4 @@ func peerFetch(ctx context.Context, addr, worker, secret, key string) ([]byte, b
 		return nil, false
 	}
 	return resp.Raw, true
-}
-
-// peerPut pushes one raw cell entry to a ring owner's peer listener
-// (best-effort: a refusal or failure is fine, the relay path covers
-// misses).
-func peerPut(ctx context.Context, addr, worker, secret, key string, raw []byte) bool {
-	ctx, cancel := context.WithTimeout(ctx, peerOpTimeout)
-	defer cancel()
-	conn, rd, wr, err := dialPeer(ctx, addr, worker, secret)
-	if err != nil {
-		return false
-	}
-	defer conn.Close()
-	buf := wire.GetBuffer()
-	*buf = appendPut(*buf, putRequest{Worker: worker, Key: key, Raw: raw})
-	err = wr.WriteFrame(wire.FramePut, 0, 1, *buf)
-	wire.PutBuffer(buf)
-	if err != nil {
-		return false
-	}
-	h, payload, err := rd.ReadFrame()
-	if err != nil || h.Type != wire.FramePutAck {
-		return false
-	}
-	resp, err := parsePutAck(payload)
-	return err == nil && resp.Accepted
 }

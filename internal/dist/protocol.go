@@ -50,7 +50,7 @@
 // the batch drains, so which worker produced which cell never influences
 // output.
 //
-// Determinism and placement-independence lean on the content-addressed cell
+// Determinism and worker-independence lean on the content-addressed cell
 // store (internal/cellstore): every job carries its store Key, workers
 // publish finished cells into the shared store, and every cell is a pure
 // function of its spec — so a re-run after any interruption serves
@@ -72,23 +72,19 @@
 // stale advert, or a hostile peer degrades to the pre-exchange behavior
 // (simulate locally), never to a wrong result.
 //
-// Protocol v5 adds deterministic placement and a direct worker-to-worker
-// data path on top of the exchange. The coordinator keeps a consistent-hash
-// ring (ring.go) over the registered workers and prefers granting each job
-// to the worker that owns its Key, so in the steady state cells are
-// published where fetches will look for them. Workers may serve their store
-// to peers directly: WorkerOptions.PeerAddr starts a listener speaking the
-// same framed wire (HELLO-authenticated, FETCH→CELL and PUT→PUT-ACK only),
-// and the address is advertised at registration, in the HELLO frame and
+// The direct data path takes the coordinator off the bulk-data path.
+// Adverts remain the only answer to "who holds this key": no worker is
+// assigned keys, and nothing is pushed to a worker that did not ask for it.
+// Workers may serve their store to peers directly: WorkerOptions.PeerAddr
+// starts a listener speaking the same framed wire (HELLO-authenticated,
+// FETCH→CELL only), and the address is advertised in the HELLO frame and
 // every lease request. Grants then carry each hinted job's holder peer
-// addresses (Holders, freshest advertisement first) and the ring owners'
-// addresses (Owners, the replication targets a publisher pushes finished
-// cells to). A worker resolves a hinted key direct→relay→simulate: dial a
-// holder and FETCH, fall back to the coordinator relay on connect failure,
-// timeout, or verification failure, and finally simulate locally — the TSV
-// is byte-identical on every path, the paths differ only in bandwidth. With
-// placement converged, fetch_relayed stays ~0 and the coordinator is off
-// the data path.
+// addresses (Holders, freshest advertisement first). A worker resolves a
+// hinted key direct→relay→simulate: dial a holder and FETCH, fall back to
+// the coordinator relay on connect failure, timeout, or verification
+// failure, and finally simulate locally — the TSV is byte-identical on
+// every path, the paths differ only in bandwidth. With holders serving
+// peers, fetch_relayed stays ~0.
 //
 // Coordinator and workers are assumed to run the same binary (cache keys
 // embed the binary fingerprint, so mismatched builds waste work but never
@@ -119,8 +115,8 @@ type leaseRequest struct {
 	Kinds  []string
 	Max    int
 	// Peer is the worker's peer listener address, registered with the
-	// coordinator for consistent-hash placement and direct fetch routing
-	// ("" when the worker serves no peers).
+	// coordinator for direct fetch routing ("" when the worker serves no
+	// peers).
 	Peer string
 }
 
@@ -142,11 +138,6 @@ type leasedJob struct {
 	// worker tries a direct FETCH against each before falling back to the
 	// coordinator relay. Empty when no holder serves peers.
 	Holders []string
-	// Owners lists the peer addresses of the job Key's consistent-hash ring
-	// owners (excluding the leased worker): after publishing the finished
-	// cell the worker best-effort PUTs it to these, converging placement
-	// even when a non-owner ran the job.
-	Owners []string
 }
 
 // leaseResponse grants a batch of jobs (each with its own lease, all
@@ -196,14 +187,13 @@ type resultRequest struct {
 	Kinds  []string
 	Refill int
 	// Fetch-path delta counters since the worker's last report: cells
-	// fetched directly from a peer, direct attempts that fell back to the
-	// coordinator relay, and replication PUTs pushed to ring owners. The
-	// coordinator folds them into its exchange totals so /dist/status sees
-	// traffic that never touched its socket. Advisory: deltas lost to a
-	// result retry undercount, never double-count.
+	// fetched directly from a peer, and direct attempts that fell back to
+	// the coordinator relay. The coordinator folds them into its exchange
+	// totals so /dist/status sees traffic that never touched its socket.
+	// Advisory: deltas lost to a result retry undercount, never
+	// double-count.
 	FetchDirect   uint64
 	FetchFallback uint64
-	PeerPuts      uint64
 }
 
 // advertRequest is one worker's cell-store indicator advertisement: a
@@ -237,22 +227,6 @@ type fetchRequest struct {
 type fetchResponse struct {
 	Found bool
 	Raw   []byte
-}
-
-// putRequest replicates one raw cell entry onto a peer (PUT frames on a
-// peer connection): the receiver verifies the entry against its key before
-// installing it, exactly like a fetched cell.
-type putRequest struct {
-	Worker string
-	Key    string
-	Raw    []byte
-}
-
-// putResponse acknowledges a PUT. Accepted=false means the receiver
-// declined (no store, or the entry failed verification); the sender never
-// retries — replication is best-effort, the relay path covers misses.
-type putResponse struct {
-	Accepted bool
 }
 
 // StatusSnapshot reports batch progress and the coordinator's lifetime
@@ -294,15 +268,10 @@ type StatusSnapshot struct {
 	FetchRelayed  uint64 `json:"fetch_relayed"`
 	FetchFalsePos uint64 `json:"fetch_false_pos"`
 	// Direct data path counters (worker-reported deltas folded in via
-	// result posts, plus the coordinator's own ring state): cells fetched
-	// worker-to-worker without touching the coordinator, direct attempts
-	// that fell back to the relay, replication PUTs to ring owners, jobs
-	// granted to their ring owner, and current ring membership.
-	FetchDirect     uint64 `json:"fetch_direct"`
-	FetchFallback   uint64 `json:"fetch_fallback"`
-	PeerPuts        uint64 `json:"peer_puts"`
-	RingOwnerGrants uint64 `json:"ring_owner_grants"`
-	RingWorkers     int    `json:"ring_workers"`
+	// result posts): cells fetched worker-to-worker without touching the
+	// coordinator, and direct attempts that fell back to the relay.
+	FetchDirect   uint64 `json:"fetch_direct"`
+	FetchFallback uint64 `json:"fetch_fallback"`
 	// WireConns details each live wire connection, followed by a bounded
 	// history of recently closed ones (Closed=true): the retention cap and
 	// age window in conn.go keep a week-long service's status payload and
@@ -352,13 +321,13 @@ type Stats struct {
 	Adverts, AdvertBytes, Fetches, FetchServed, FetchRelayed, FetchFalsePos uint64
 	// Direct data path: FetchDirect counts cells fetched worker-to-worker
 	// (reported by workers as deltas on result posts — this traffic never
-	// touches the coordinator's socket), FetchFallback direct attempts that
-	// degraded to the coordinator relay, PeerPuts replication pushes to
-	// ring owners, and RingOwnerGrants jobs granted to the worker the
-	// consistent-hash ring assigns their Key to.
-	FetchDirect, FetchFallback, PeerPuts, RingOwnerGrants uint64
-	// RingWorkers is the current placement-ring membership (live workers).
-	RingWorkers int
+	// touches the coordinator's socket), and FetchFallback direct attempts
+	// that degraded to the coordinator relay.
+	FetchDirect, FetchFallback uint64
+	// PeerPuts always reads 0: workers no longer push cells to each other.
+	// It is kept only because the repository benchmark (perfbench/fleet.go)
+	// reads it, and goes when that reader does.
+	PeerPuts uint64
 }
 
 // workerTTL is how long after its last contact a worker still counts as

@@ -57,13 +57,13 @@ const (
 	// submissions) was appended without a bump: the new types only ever
 	// flow client -> coordinator after negotiation, and an older build
 	// rejects them cleanly as unknown frame types at the header parse.
-	// v3 is consistent-hash placement and direct peer fetch: HELLO gains
-	// the worker's peer listener address and GRANT jobs gain holder/owner
-	// peer-address lists, plus RESULT gains the worker's fetch-path delta
-	// counters — strict codec-shape changes again, so the version bumps.
-	// The PUT/PUT-ACK pair (peer-to-peer cell replication) is appended
-	// under the same no-bump rule as SUBMIT/SWEEP.
-	Version = 3
+	// v3 is direct peer fetch: HELLO gains the worker's peer listener
+	// address, GRANT jobs gain holder peer-address lists, and RESULT gains
+	// the worker's fetch-path delta counters — strict codec-shape changes
+	// again, so the version bumps. v4 drops key ownership and replication:
+	// GRANT jobs lose their owner list, RESULT its replication counter, and
+	// the PUT/PUT-ACK frames are gone.
+	Version = 4
 	// MaxPayload bounds a frame's payload (raw or compressed), mirroring
 	// the HTTP transport's request-body cap.
 	MaxPayload = 64 << 20
@@ -89,8 +89,6 @@ const (
 	FrameCell                      // either direction: FETCH reply (found flag + raw entry bytes)
 	FrameSubmit                    // client -> coordinator: submit one named sweep (exp, scale, priority)
 	FrameSweep                     // coordinator -> client: SUBMIT reply (sweep id + queue position, or error)
-	FramePut                       // worker -> peer: replicate one raw cell entry (key + raw bytes)
-	FramePutAck                    // peer -> worker: PUT reply (accepted flag)
 	frameTypeEnd
 )
 
@@ -148,10 +146,6 @@ func TypeName(t byte) string {
 		return "SUBMIT"
 	case FrameSweep:
 		return "SWEEP"
-	case FramePut:
-		return "PUT"
-	case FramePutAck:
-		return "PUT-ACK"
 	default:
 		return fmt.Sprintf("type-%d", t)
 	}

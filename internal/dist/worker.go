@@ -64,13 +64,13 @@ type WorkerOptions struct {
 	// Zero selects 1s.
 	AdvertInterval time.Duration
 	// PeerAddr, when non-empty, starts a peer listener on this address
-	// serving the worker's cell store directly to other workers (FETCH) and
-	// accepting replication pushes (PUT), taking the coordinator off the
-	// bulk-data path. The address is advertised to the coordinator, so it
-	// must be dialable by peers — "host:0" works only if the resolved host
-	// is reachable from the rest of the fleet. Requires CacheDir (without a
-	// store there is nothing to serve); empty keeps the v4 relay-only
-	// behavior.
+	// serving the worker's cell store directly to other workers (FETCH),
+	// taking the coordinator off the bulk-data path. The address is
+	// advertised to the coordinator, so it must be dialable by peers —
+	// "host:0" works only if the resolved host is reachable from the rest
+	// of the fleet. Requires CacheDir (without a store there is nothing to
+	// serve); empty leaves fetches from this worker to the coordinator
+	// relay.
 	PeerAddr string
 }
 
@@ -236,7 +236,7 @@ type worker struct {
 
 	// Direct-path delta counters, drained onto the next result post (the
 	// coordinator cannot see peer-to-peer traffic, so workers report it).
-	fetchDirect, fetchFallback, peerPuts atomic.Uint64
+	fetchDirect, fetchFallback atomic.Uint64
 }
 
 // jobHint is the per-key slice of a grant that fetchKey needs.
@@ -297,27 +297,6 @@ func (w *worker) fetchKey(key string) ([]byte, bool) {
 		w.fetchFallback.Add(1)
 	}
 	return resp.Raw, true
-}
-
-// replicate pushes job's freshly published cell entry to the ring owners'
-// peer listeners, best-effort and asynchronous: the sweep never waits on
-// replication, and a failed push only means the next fetch for the key
-// relays through the coordinator instead.
-func (w *worker) replicate(job leasedJob) {
-	if w.store == nil || len(job.Owners) == 0 {
-		return
-	}
-	raw, ok := w.store.GetRaw(job.Key)
-	if !ok {
-		return
-	}
-	go func() {
-		for _, addr := range job.Owners {
-			if peerPut(context.Background(), addr, w.name, w.opt.Secret, job.Key, raw) {
-				w.peerPuts.Add(1)
-			}
-		}
-	}()
 }
 
 // advertise periodically rebuilds the store indicator and publishes it,
@@ -500,12 +479,6 @@ func (w *worker) executeBatch(ctx context.Context, lease *leaseResponse) error {
 			// already posted stay completed.
 			return nil
 		}
-		if res.Error == "" && res.Panic == "" {
-			// The cell just published locally; push it to its ring owners so
-			// the keyspace's designated holders can serve future direct
-			// fetches without a coordinator relay.
-			w.replicate(job)
-		}
 		// Ask for one replacement job per completed job: the queue holds
 		// its granted depth while work remains and drains naturally as the
 		// coordinator runs out (near exhaustion it grants nothing, so tail
@@ -572,7 +545,6 @@ func (w *worker) postResult(ctx context.Context, job leasedJob, res resultReques
 	// (the deltas were already zeroed), but never double-counts.
 	res.FetchDirect = w.fetchDirect.Swap(0)
 	res.FetchFallback = w.fetchFallback.Swap(0)
-	res.PeerPuts = w.peerPuts.Swap(0)
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			// Only the first attempt asks for a refill: a lost reply may

@@ -51,7 +51,7 @@ type Backend interface {
 // serialized result. Executors run on whichever process executes the job —
 // the coordinator's for the in-process backend, a worker's for a
 // distributed one — and must be pure functions of the spec (plus caches
-// keyed by the job Key) so placement never changes a result.
+// keyed by the job Key) so where a job runs never changes a result.
 type Executor func(spec []byte) ([]byte, error)
 
 var (

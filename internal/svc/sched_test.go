@@ -74,7 +74,12 @@ func TestScheduleLockedPriorityFIFO(t *testing.T) {
 				t.Fatalf("sweep %s (%s) ended %s: %s", st.ID, st.Exp, st.State, st.Err)
 			}
 		}
-		if done == 4 {
+		// A sweep's state turns Done before its completion line is logged,
+		// so wait for all four lines too.
+		mu.Lock()
+		logged := len(order)
+		mu.Unlock()
+		if done == 4 && logged == 4 {
 			break
 		}
 		if time.Now().After(deadline) {
