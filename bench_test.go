@@ -191,7 +191,9 @@ func BenchmarkSystemReuse(b *testing.B) {
 // line/txn record and directory entry recycles, so -benchmem reports zero
 // allocations per operation for all three protocols. The NoRecycle
 // sub-benchmarks run the identical simulation with the free lists disabled
-// — the delta is what the recycling buys.
+// — the delta is what the recycling buys. events/op is kernel events fired
+// per simulated operation (the perfbench sim.events_per_op quantity), an
+// exact count that tracks the event cost of the hot path per commit.
 func BenchmarkSteadyStateOps(b *testing.B) {
 	const nodes = 16
 	run := func(b *testing.B, p bashsim.Protocol, noRecycle bool) {
@@ -212,6 +214,7 @@ func BenchmarkSteadyStateOps(b *testing.B) {
 		target := sys.TotalOps() + 20000 // warm free lists and map buckets
 		cond := func() bool { return sys.TotalOps() >= target }
 		sys.Kernel.RunUntil(cond)
+		fired, ops := sys.Kernel.Fired(), sys.TotalOps()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -220,6 +223,7 @@ func BenchmarkSteadyStateOps(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(100, "simops/op")
+		b.ReportMetric(float64(sys.Kernel.Fired()-fired)/float64(sys.TotalOps()-ops), "events/op")
 	}
 	for _, p := range []bashsim.Protocol{bashsim.Snooping, bashsim.Directory, bashsim.BASH} {
 		b.Run(p.String(), func(b *testing.B) { run(b, p, false) })

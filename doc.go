@@ -17,7 +17,11 @@
 //   - The event kernel (Kernel, internal/sim) is a concrete-typed 4-ary
 //     heap ordered by (time, schedule-order): zero allocations per
 //     Schedule/Step in steady state, with Reset for reuse across runs.
-//     Identical runs replay exactly.
+//     Identical runs replay exactly. The interconnect keeps the heap
+//     small: an ordered message to k nodes costs k+2 events (the stamp,
+//     one arrival seizing every target's inbound channel in node order,
+//     and one handoff per target) and delivers in exactly the order one
+//     arrival per target would.
 //   - The run orchestrator (ParallelMap/ParallelEach, RunnerOptions;
 //     internal/runner) fans fleets of independent simulations out across a
 //     bounded worker pool and folds results in job order, so serial and

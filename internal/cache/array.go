@@ -7,7 +7,10 @@
 // L2 with 64-byte blocks (Section 5.2).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Addr is a block (line) address: the byte address divided by the block size.
 type Addr uint64
@@ -36,10 +39,13 @@ type way struct {
 // Sets materialize lazily on first insert: the paper's 16384-set
 // configuration is 1.5 MB of way state per node, and a short sweep cell
 // touches a small fraction of it, so eagerly zeroing every set dominated
-// the per-run setup cost of fleet-style experiment sweeps.
+// the per-run setup cost of fleet-style experiment sweeps. For the same
+// reason Reset clears only the sets written since the previous Reset, found
+// through a one-bit-per-set dirty map, instead of walking all of them.
 type Array struct {
 	cfg   Config
-	sets  [][]way // nil per entry until first insert into that set
+	sets  [][]way  // nil per entry until first insert into that set
+	dirty []uint64 // bit i set: set i was inserted into since the last Reset
 	clock uint64
 	size  int
 }
@@ -49,7 +55,11 @@ func New(cfg Config) *Array {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
 	}
-	return &Array{cfg: cfg, sets: make([][]way, cfg.Sets)}
+	return &Array{
+		cfg:   cfg,
+		sets:  make([][]way, cfg.Sets),
+		dirty: make([]uint64, (cfg.Sets+63)/64),
+	}
 }
 
 // Config returns the array geometry.
@@ -58,14 +68,19 @@ func (a *Array) Config() Config { return a.cfg }
 // Reset empties the array without releasing its storage: already
 // materialized sets are zeroed in place rather than dropped, so a reused
 // array skips both the top-level table allocation and the per-set
-// materialization cost for sets the previous run touched. Behaviour after
-// Reset is indistinguishable from a fresh array (a zeroed way is invalid,
-// exactly like a way in a never-materialized set).
+// materialization cost for sets the previous run touched. Only sets marked
+// dirty are visited; every other set is still zero from the Reset before,
+// or was never materialized, since Insert is the only way a block becomes
+// resident and Touch and Remove change only resident blocks' sets.
+// Behaviour after Reset is indistinguishable from a fresh array (a zeroed
+// way is invalid, exactly like a way in a never-materialized set).
 func (a *Array) Reset() {
-	for _, s := range a.sets {
-		for i := range s {
-			s[i] = way{}
+	for wi, w := range a.dirty {
+		for w != 0 {
+			clear(a.sets[wi*64+bits.TrailingZeros64(w)])
+			w &= w - 1
 		}
+		a.dirty[wi] = 0
 	}
 	a.clock = 0
 	a.size = 0
@@ -80,9 +95,11 @@ func (a *Array) set(addr Addr) []way {
 	return a.sets[int(addr%Addr(a.cfg.Sets))]
 }
 
-// materialize returns the set for addr, allocating its ways on first use.
+// materialize returns the set for addr, allocating its ways on first use,
+// and marks it dirty for the next Reset.
 func (a *Array) materialize(addr Addr) []way {
 	i := int(addr % Addr(a.cfg.Sets))
+	a.dirty[i/64] |= 1 << (i % 64)
 	if a.sets[i] == nil {
 		a.sets[i] = make([]way, a.cfg.Ways)
 	}

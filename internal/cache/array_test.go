@@ -133,3 +133,70 @@ func TestDefaultConfigGeometry(t *testing.T) {
 		t.Fatalf("default capacity = %d bytes, want 4 MiB", c.Lines()*64)
 	}
 }
+
+// TestResetMatchesFresh: an array reused across runs through Reset answers
+// every operation exactly as a freshly built one does, and Reset leaves no
+// way valid and no set marked dirty. Sets are not a multiple of 64, so the
+// dirty map's last word is partial.
+func TestResetMatchesFresh(t *testing.T) {
+	cfg := Config{Sets: 100, Ways: 2}
+	pinOdd := func(a Addr) bool { return a%7 == 1 }
+	replay := func(a *Array, ops []uint16) []uint64 {
+		var out []uint64
+		for _, op := range ops {
+			addr := Addr(op % 512)
+			switch op >> 14 {
+			case 0:
+				victim, ev, ok := a.Insert(addr, pinOdd)
+				out = append(out, uint64(victim), b2u(ev), b2u(ok))
+			case 1:
+				out = append(out, b2u(a.Touch(addr)))
+			case 2:
+				out = append(out, b2u(a.Remove(addr)))
+			default:
+				out = append(out, b2u(a.Contains(addr)))
+			}
+			out = append(out, uint64(a.Len()))
+		}
+		return out
+	}
+	reused := New(cfg)
+	f := func(first, second []uint16) bool {
+		replay(reused, first)
+		reused.Reset()
+		for i, s := range reused.sets {
+			for _, w := range s {
+				if w != (way{}) {
+					t.Logf("set %d not cleared: %+v", i, w)
+					return false
+				}
+			}
+		}
+		for _, w := range reused.dirty {
+			if w != 0 {
+				return false
+			}
+		}
+		got, want := replay(reused, second), replay(New(cfg), second)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		reused.Reset()
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestKindSizes(t *testing.T) {
-	for k := GetS; k < numKinds; k++ {
+	for k := GetS; k < NumKinds; k++ {
 		want := ControlBytes
 		if k == Data || k == DataWB {
 			want = DataBytes

@@ -56,10 +56,12 @@ const (
 	DataWB
 	Ack
 	Nack
-	numKinds
+	// NumKinds counts the kinds above: arrays indexed by Kind have this
+	// length.
+	NumKinds
 )
 
-var kindNames = [numKinds]string{
+var kindNames = [NumKinds]string{
 	"GetS", "GetM", "PutM", "FwdGetS", "FwdGetM", "Inval", "Marker",
 	"WBMarker", "WBStale", "Data", "DataWB", "Ack", "Nack",
 }

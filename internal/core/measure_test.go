@@ -72,6 +72,27 @@ func TestTrafficBreakdown(t *testing.T) {
 	}
 }
 
+// TestTrafficStringDeterministic: the breakdown lists kinds by bytes,
+// largest first, breaks ties in kind order, and omits kinds with no
+// messages, so equal counts always print identically.
+func TestTrafficStringDeterministic(t *testing.T) {
+	var tr core.TrafficStats
+	tr.Messages[coherence.Data], tr.Bytes[coherence.Data] = 1, 72
+	for _, k := range []coherence.Kind{coherence.Nack, coherence.GetS, coherence.Ack, coherence.Inval, coherence.GetM, coherence.Marker} {
+		tr.Messages[k], tr.Bytes[k] = 2, 16
+	}
+	want := "Data: 1 msgs, 72 B\n" +
+		"GetS: 2 msgs, 16 B\n" +
+		"GetM: 2 msgs, 16 B\n" +
+		"Inval: 2 msgs, 16 B\n" +
+		"Marker: 2 msgs, 16 B\n" +
+		"Ack: 2 msgs, 16 B\n" +
+		"Nack: 2 msgs, 16 B\n"
+	if got := tr.String(); got != want {
+		t.Fatalf("traffic breakdown:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestDirectoryTrafficLighter: on the same workload, Directory must move
 // fewer request-network bytes per op than Snooping (the paper's bandwidth
 // argument), while BASH sits between.

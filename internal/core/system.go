@@ -226,7 +226,7 @@ func build(cfg Config) *System {
 		Kernel:  k,
 		Net:     net,
 		cfg:     cfg,
-		traffic: newTrafficStats(),
+		traffic: &TrafficStats{},
 		packets: coherence.NewRecycler(),
 	}
 	if cfg.EnableChecker {

@@ -13,22 +13,12 @@ import (
 // — the interconnect demand each protocol places per transaction, the raw
 // material of the paper's bandwidth argument.
 type TrafficStats struct {
-	Messages map[coherence.Kind]uint64
-	Bytes    map[coherence.Kind]uint64
+	Messages [coherence.NumKinds]uint64
+	Bytes    [coherence.NumKinds]uint64
 }
 
-func newTrafficStats() *TrafficStats {
-	return &TrafficStats{
-		Messages: make(map[coherence.Kind]uint64),
-		Bytes:    make(map[coherence.Kind]uint64),
-	}
-}
-
-// reset clears the per-kind counters for a new run, keeping the maps.
-func (t *TrafficStats) reset() {
-	clear(t.Messages)
-	clear(t.Bytes)
-}
+// reset clears the per-kind counters for a new run.
+func (t *TrafficStats) reset() { *t = TrafficStats{} }
 
 func (t *TrafficStats) record(kind coherence.Kind, bytes int) {
 	t.Messages[kind]++
@@ -54,20 +44,19 @@ func (t *TrafficStats) DataBytes() uint64 {
 	return t.Bytes[coherence.Data] + t.Bytes[coherence.DataWB]
 }
 
-// String renders a per-kind breakdown, largest first.
+// String renders a per-kind breakdown, largest first, ties in kind order,
+// omitting kinds that carried no messages.
 func (t *TrafficStats) String() string {
-	type row struct {
-		kind  coherence.Kind
-		bytes uint64
+	var kinds []coherence.Kind
+	for k := range coherence.NumKinds {
+		if t.Messages[k] > 0 {
+			kinds = append(kinds, k)
+		}
 	}
-	var rows []row
-	for k, b := range t.Bytes {
-		rows = append(rows, row{k, b})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].bytes > rows[j].bytes })
+	sort.SliceStable(kinds, func(i, j int) bool { return t.Bytes[kinds[i]] > t.Bytes[kinds[j]] })
 	var b strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s: %d msgs, %d B\n", r.kind, t.Messages[r.kind], r.bytes)
+	for _, k := range kinds {
+		fmt.Fprintf(&b, "%s: %d msgs, %d B\n", k, t.Messages[k], t.Bytes[k])
 	}
 	return b.String()
 }

@@ -121,8 +121,11 @@ type Network struct {
 }
 
 // netTask is the one free-listed scheduling unit behind every network event:
-// sequencer stamping, fan-out arrival, channel-grant handoff, and delayed
-// sends. A single struct with a kind tag keeps the free list monomorphic.
+// sequencer stamping, arrival at the inbound channels, channel-grant
+// handoff, and delayed sends. A single struct with a kind tag keeps the free
+// list monomorphic. An ordered message costs the kernel one stamp, one
+// arrival for the whole message, and one handoff per target; an unordered
+// one costs an arrival and a handoff.
 type netTask struct {
 	n       *Network
 	kind    uint8
@@ -138,9 +141,9 @@ type netTask struct {
 
 // netTask kinds.
 const (
-	taskStamp      uint8 = iota // ordered: assign seq, fan deliveries out
-	taskOrdArrive               // ordered: seize the inbound channel
-	taskOrdHandoff              // ordered: hand the message to the node
+	taskStamp      uint8 = iota // ordered: assign seq, schedule the arrival
+	taskOrdArrive               // ordered: seize every target's inbound channel
+	taskOrdHandoff              // ordered: hand the message to one node
 	taskUnArrive                // unordered: seize the inbound channel
 	taskUnHandoff               // unordered: hand the message to the node
 	taskSendOrd                 // delayed SendOrdered
@@ -193,12 +196,9 @@ func (t *netTask) Run() {
 		n.putTask(t)
 		n.stampAndFanOut(from, targets, size, cost, payload)
 	case taskOrdArrive:
-		dst, m, cost := t.dst, t.m, t.cost
+		m, cost := t.m, t.cost
 		n.putTask(t)
-		grant := n.in[dst].Seize(n.kernel.Now(), m.Size, cost)
-		h := n.getTask()
-		h.kind, h.dst, h.m = taskOrdHandoff, dst, m
-		n.kernel.AtTask(grant, h)
+		n.arriveOrdered(m, cost)
 	case taskOrdHandoff:
 		dst, m := t.dst, t.m
 		n.putTask(t)
@@ -344,8 +344,8 @@ func (n *Network) SendOrdered(from NodeID, targets Mask, size int, payload any) 
 	n.kernel.AtTask(start, st)
 }
 
-// stampAndFanOut assigns the global sequence number and schedules one
-// arrival per target.
+// stampAndFanOut assigns the global sequence number and schedules the
+// message's single arrival, one traversal later, at every target at once.
 func (n *Network) stampAndFanOut(from NodeID, targets Mask, size int, cost float64, payload any) {
 	n.seq++
 	m := n.getMessage()
@@ -356,14 +356,32 @@ func (n *Network) stampAndFanOut(from NodeID, targets Mask, size int, cost float
 	m.Broadcast = targets.Equal(n.full)
 	m.Payload = payload
 	m.remaining = int32(targets.Count())
-	arrive := n.kernel.Now() + n.cfg.Traversal
-	for wi, w := range targets.w {
+	a := n.getTask()
+	a.kind, a.m, a.cost = taskOrdArrive, m, cost
+	n.kernel.AtTask(n.kernel.Now()+n.cfg.Traversal, a)
+}
+
+// arriveOrdered seizes the inbound channel of every target, in ascending
+// NodeID order, and schedules each target's handoff at its grant time.
+// Handoffs stay one event per target because grant times differ per node.
+//
+// One arrival per message delivers in exactly the order one arrival per
+// target would. Per-target arrivals would share one time and hold
+// consecutive schedule sequence numbers, so no other event could fire
+// between them; each would only seize its own channel and schedule its own
+// handoff, at or after the current time and with a later sequence number.
+// The walk below makes the same Seize and AtTask calls in the same order.
+// It uses up fewer sequence numbers, but those only break ties between
+// events at one time, and every pair of events keeps its relative order.
+func (n *Network) arriveOrdered(m *Message, cost float64) {
+	now := n.kernel.Now()
+	for wi, w := range m.Targets.w {
 		for w != 0 {
 			dst := NodeID(wi*64 + bits.TrailingZeros64(w))
 			w &= w - 1
-			a := n.getTask()
-			a.kind, a.dst, a.m, a.cost = taskOrdArrive, dst, m, cost
-			n.kernel.AtTask(arrive, a)
+			h := n.getTask()
+			h.kind, h.dst, h.m = taskOrdHandoff, dst, m
+			n.kernel.AtTask(n.in[dst].Seize(now, m.Size, cost), h)
 		}
 	}
 }

@@ -279,3 +279,34 @@ func TestEmptyMaskSendPanics(t *testing.T) {
 	n.SendOrdered(0, Mask{}, 8, nil)
 	k.Drain()
 }
+
+// TestEventsPerSend pins the kernel cost of one send: an ordered send to k
+// targets fires k+2 events (the sequencer stamp, one arrival that seizes
+// every target's inbound channel, and one handoff per target), and an
+// unordered send fires 2 (arrival and handoff).
+func TestEventsPerSend(t *testing.T) {
+	for _, mask := range []Mask{MaskOf(3), MaskOf(0, 5, 9), FullMask(16)} {
+		k, n, recs := build(t, 16, Config{})
+		n.SendOrdered(1, mask, 8, "x")
+		k.Drain()
+		if got, want := k.Fired(), uint64(mask.Count()+2); got != want {
+			t.Errorf("ordered send to %d targets fired %d events, want %d", mask.Count(), got, want)
+		}
+		delivered := 0
+		for _, r := range recs {
+			delivered += len(r.ordered)
+		}
+		if delivered != mask.Count() {
+			t.Errorf("ordered send to %d targets made %d deliveries", mask.Count(), delivered)
+		}
+	}
+	k, n, recs := build(t, 16, Config{})
+	n.SendUnordered(1, 2, 72, "y")
+	k.Drain()
+	if got := k.Fired(); got != 2 {
+		t.Errorf("unordered send fired %d events, want 2", got)
+	}
+	if len(recs[2].unordered) != 1 {
+		t.Error("unordered message not delivered")
+	}
+}
