@@ -67,10 +67,11 @@ type (
 	// line/txn records, directory entries); System.Recycler exposes it for
 	// leak checks (Live) and diagnostics. Config.NoRecycle disables it.
 	Recycler = coherence.Recycler
-	// Kernel is the deterministic discrete-event scheduler: a
-	// concrete-typed 4-ary heap ordered by (time, schedule-order) with
-	// zero steady-state allocations per Schedule/Step and a Reset method
-	// for reuse across runs.
+	// Kernel is the deterministic discrete-event scheduler, firing events
+	// in (time, schedule-order) order from a time wheel for the next
+	// 1,024 ns and a 4-ary heap beyond it, with zero steady-state
+	// allocations per Schedule/Step and a Reset method for reuse across
+	// runs.
 	Kernel = sim.Kernel
 )
 

@@ -14,23 +14,54 @@ import (
 )
 
 // BenchmarkKernelScheduleStep measures the event kernel's hot path: 64
-// schedule/step pairs per iteration against a warm queue. The 4-ary
-// concrete-typed heap runs this with zero steady-state allocations
-// (container/heap boxing previously cost 2 allocs per event).
+// schedule/step pairs per iteration against a warm queue, with zero
+// steady-state allocations. "short" schedules every event under 7 ns
+// ahead, all in the kernel's time-wheel near tier; "measured-mix" uses the
+// delay mix the simulator schedules (kernelDelayMix), so a few events per
+// iteration take the far-tier heap.
 func BenchmarkKernelScheduleStep(b *testing.B) {
-	k := bashsim.NewKernel()
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 64; j++ {
-			k.Schedule(bashsim.Time(j%7), fn)
-		}
-		for j := 0; j < 64; j++ {
-			k.Step()
+	run := func(b *testing.B, delay func(j int) bashsim.Time) {
+		k := bashsim.NewKernel()
+		fn := func() {}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < 64; j++ {
+				k.Schedule(delay(j), fn)
+			}
+			for j := 0; j < 64; j++ {
+				k.Step()
+			}
 		}
 	}
+	b.Run("short", func(b *testing.B) {
+		run(b, func(j int) bashsim.Time { return bashsim.Time(j % 7) })
+	})
+	b.Run("measured-mix", func(b *testing.B) {
+		run(b, func(j int) bashsim.Time { return kernelDelayMix[j] })
+	})
 }
+
+// kernelDelayMix is 64 schedule delays in the proportions the quick fig10
+// and fig11 sweeps produce: 46 under 64 ns (72%), 15 from 64 to 1,023 ns
+// (23%), and 3 from 1,024 ns to about 4 µs (5%), which are at least the
+// kernel's 1,024 ns wheel span ahead and so go to its far tier. The classes
+// are interleaved by a fixed permutation.
+var kernelDelayMix = func() (d [64]bashsim.Time) {
+	for j := range d {
+		var v bashsim.Time
+		switch {
+		case j < 46:
+			v = bashsim.Time(j * 41 % 64)
+		case j < 61:
+			v = 64 + bashsim.Time(j-46)*61
+		default:
+			v = 1024 + bashsim.Time(j-61)*1500
+		}
+		d[j*29%64] = v
+	}
+	return d
+}()
 
 // BenchmarkRunnerSweep measures the orchestration layer itself: a 32-shard
 // sweep of small independent event-kernel workloads per iteration, fanned

@@ -14,14 +14,16 @@
 //
 // Four layers make large evaluations fast and exactly reproducible:
 //
-//   - The event kernel (Kernel, internal/sim) is a concrete-typed 4-ary
-//     heap ordered by (time, schedule-order): zero allocations per
-//     Schedule/Step in steady state, with Reset for reuse across runs.
-//     Identical runs replay exactly. The interconnect keeps the heap
-//     small: an ordered message to k nodes costs k+2 events (the stamp,
-//     one arrival seizing every target's inbound channel in node order,
-//     and one handoff per target) and delivers in exactly the order one
-//     arrival per target would.
+//   - The event kernel (Kernel, internal/sim) fires events in (time,
+//     schedule-order) order from two tiers: a time wheel of 1,024
+//     per-instant buckets for events due within 1,024 ns, where schedule
+//     and pop are O(1), and a 4-ary heap for the rare later event. It
+//     makes zero allocations per Schedule/Step in steady state and has
+//     Reset for reuse across runs. Identical runs replay exactly. The
+//     interconnect keeps the event count low: an ordered message to k
+//     nodes costs k+2 events (the stamp, one arrival seizing every
+//     target's inbound channel in node order, and one handoff per target)
+//     and delivers in exactly the order one arrival per target would.
 //   - The run orchestrator (ParallelMap/ParallelEach, RunnerOptions;
 //     internal/runner) fans fleets of independent simulations out across a
 //     bounded worker pool and folds results in job order, so serial and

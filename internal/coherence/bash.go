@@ -111,7 +111,7 @@ func bashCacheTable() *Table {
 
 // Access dispatches processor operations.
 func (b *BashCache) Access(op Op, done func()) {
-	if l := b.lines[op.Addr]; l == nil || l.txn == nil {
+	if l := b.lines.get(op.Addr); l == nil || l.txn == nil {
 		ev := EvLoad
 		if op.Store {
 			ev = EvStore
@@ -177,7 +177,7 @@ func (b *BashCache) OnOrdered(m *network.Message) {
 		// cheap approximation of it otherwise.
 		b.pred.Learn(pkt.Addr, pkt.Requestor)
 	}
-	l := b.lines[pkt.Addr]
+	l := b.lines.get(pkt.Addr)
 	if l == nil {
 		return
 	}
@@ -185,7 +185,7 @@ func (b *BashCache) OnOrdered(m *network.Message) {
 }
 
 func (b *BashCache) ownInstance(seq uint64, pkt *Packet) {
-	l := b.lines[pkt.Addr]
+	l := b.lines.get(pkt.Addr)
 	if l == nil || l.txn == nil || l.txn.id != pkt.TxnID {
 		// An instance of a transaction that already completed: a retry that
 		// was raced by the sufficient instance. Ignore it.
@@ -292,7 +292,7 @@ func (b *BashCache) ownerForeign(l *line, seq uint64, pkt *Packet, ev Event) {
 
 // OnUnordered receives Data, Ack and Nack responses.
 func (b *BashCache) OnUnordered(pkt *Packet) {
-	l := b.lines[pkt.Addr]
+	l := b.lines.get(pkt.Addr)
 	if l == nil || l.txn == nil || l.txn.id != pkt.TxnID {
 		b.stats.StaleDataDropped++
 		return

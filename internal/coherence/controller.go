@@ -39,7 +39,7 @@ type deferredMsg struct {
 }
 
 // line is the controller's per-block record. Blocks in state I with no
-// transaction and no deferred work are evicted from the map.
+// transaction and no deferred work are removed from the line table.
 type line struct {
 	addr     Addr
 	state    State
@@ -75,7 +75,7 @@ type ctrlCore struct {
 	ops     protoOps
 	tbl     *Table
 	array   *cache.Array
-	lines   map[Addr]*line
+	lines   blockTable[line]
 	nextTxn uint64
 	stats   CacheStats
 	latHist *stats.Histogram
@@ -109,10 +109,10 @@ func (c *ctrlCore) init(env Env, ops protoOps, tbl *Table, arrayCfg cache.Config
 	c.ops = ops
 	c.tbl = tbl
 	c.array = cache.New(arrayCfg)
-	// Pre-size the line map toward its hard bound (array residency plus
-	// in-flight work) so steady-state churn never grows its buckets; the
-	// hint is capped to keep huge default geometries lazy.
-	c.lines = make(map[Addr]*line, min(arrayCfg.Lines(), 1024))
+	// Pre-size the line table toward its hard bound (array residency plus
+	// in-flight work) so steady-state churn rarely grows it; the hint is
+	// capped to keep huge default geometries lazy.
+	c.lines.init(min(arrayCfg.Lines(), 1024))
 	c.pended = make(map[Addr][]pendedOp)
 	c.latHist = stats.NewLatencyHistogram()
 	c.hitLatency = 1
@@ -124,18 +124,22 @@ func (c *ctrlCore) init(env Env, ops protoOps, tbl *Table, arrayCfg cache.Config
 }
 
 // Reset returns the controller to its freshly constructed state for a new
-// run, retaining every allocation the previous run grew: the line and
-// pended maps keep their buckets, the cache array keeps its materialized
-// sets, the histogram keeps its buckets, the transition table keeps its
-// declarations (coverage is cleared), and live line/txn records drain into
-// the free lists rather than being freed, so the warmed capacity carries
-// into the next run. Packets still parked on deferred lists are dropped for
-// the garbage collector, never recycled — the same packet may be parked at
-// several nodes. The environment — kernel, network, identity, checker,
-// progress hook — is structural and survives unchanged.
+// run, retaining every allocation the previous run grew: the line table
+// keeps its slot arrays, the pended map its buckets, the cache array its
+// materialized sets and the histogram its buckets, the transition table
+// keeps its declarations (coverage is cleared), and live line/txn records
+// drain into the free lists rather than being freed, so the warmed
+// capacity carries into the next run. Packets still parked on deferred
+// lists are dropped for the garbage collector, never recycled — the same
+// packet may be parked at several nodes. The environment — kernel,
+// network, identity, checker, progress hook — is structural and survives
+// unchanged.
 func (c *ctrlCore) Reset() {
 	rec := c.env.Recycler
-	for _, l := range c.lines {
+	for _, l := range c.lines.vals {
+		if l == nil {
+			continue
+		}
 		if l.txn != nil {
 			rec.putTxn(l.txn)
 			l.txn = nil
@@ -145,7 +149,7 @@ func (c *ctrlCore) Reset() {
 	for _, q := range c.pended {
 		rec.putPendQueue(q)
 	}
-	clear(c.lines)
+	c.lines.clear()
 	clear(c.pended)
 	c.array.Reset()
 	c.latHist.Reset()
@@ -165,7 +169,7 @@ func (c *ctrlCore) Table() *Table { return c.tbl }
 
 // StateOf reports the state held for a block (Invalid when absent).
 func (c *ctrlCore) StateOf(a Addr) State {
-	if l := c.lines[a]; l != nil {
+	if l := c.lines.get(a); l != nil {
 		return l.state
 	}
 	return Invalid
@@ -173,7 +177,7 @@ func (c *ctrlCore) StateOf(a Addr) State {
 
 // ValueOf reports the data token held for a block.
 func (c *ctrlCore) ValueOf(a Addr) uint64 {
-	if l := c.lines[a]; l != nil {
+	if l := c.lines.get(a); l != nil {
 		return l.value
 	}
 	return 0
@@ -181,10 +185,10 @@ func (c *ctrlCore) ValueOf(a Addr) uint64 {
 
 // line returns the record for addr, materializing an Invalid one.
 func (c *ctrlCore) line(addr Addr) *line {
-	l := c.lines[addr]
+	l := c.lines.get(addr)
 	if l == nil {
 		l = c.env.Recycler.getLine(addr, c.deferCap)
-		c.lines[addr] = l
+		c.lines.put(addr, l)
 	}
 	return l
 }
@@ -192,12 +196,12 @@ func (c *ctrlCore) line(addr Addr) *line {
 // release drops a line record if it holds nothing, recycling it. It is
 // idempotent: a line can reach here twice (a deferred replay may release
 // inside the loop, and replayDeferred releases once more at the end), so
-// only the call that actually removes the record from the map recycles it —
+// only the call that actually removes the record from the table recycles it —
 // a double push onto the free list would hand one record to two blocks.
 func (c *ctrlCore) release(l *line) {
 	if l.state == Invalid && l.txn == nil && len(l.deferred) == 0 {
-		if cur, ok := c.lines[l.addr]; ok && cur == l {
-			delete(c.lines, l.addr)
+		if c.lines.get(l.addr) == l {
+			c.lines.del(l.addr)
 			c.env.Recycler.putLine(l)
 		}
 	}
@@ -206,7 +210,7 @@ func (c *ctrlCore) release(l *line) {
 // isPinned reports whether a resident block cannot be evicted because it
 // has in-flight work (the demand-insertion pinning predicate).
 func (c *ctrlCore) isPinned(a Addr) bool {
-	if vl := c.lines[a]; vl != nil {
+	if vl := c.lines.get(a); vl != nil {
 		return vl.txn != nil || len(vl.deferred) > 0
 	}
 	return false
@@ -329,7 +333,7 @@ func (c *ctrlCore) missUpgrade(l *line, op Op, done func()) {
 }
 
 // evict removes a victim from the array and, for dirty states, starts a
-// writeback transaction. The array slot is freed immediately; the line map
+// writeback transaction. The array slot is freed immediately; the line table
 // keeps the transient writeback state.
 func (c *ctrlCore) evict(victim Addr) {
 	vl := c.line(victim)

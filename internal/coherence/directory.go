@@ -72,7 +72,7 @@ func dirCacheTable() *Table {
 
 // Access dispatches processor operations.
 func (d *DirCache) Access(op Op, done func()) {
-	if l := d.lines[op.Addr]; l == nil || l.txn == nil {
+	if l := d.lines.get(op.Addr); l == nil || l.txn == nil {
 		ev := EvLoad
 		if op.Store {
 			ev = EvStore
@@ -114,7 +114,7 @@ func (d *DirCache) OnOrdered(m *network.Message) {
 		return
 	}
 	if pkt.Owner == d.env.Self && pkt.Requestor != d.env.Self {
-		l := d.lines[pkt.Addr]
+		l := d.lines.get(pkt.Addr)
 		if l == nil {
 			panic(fmt.Sprintf("directory: forward to owner with no line: self=%d pkt=%v owner=%d seq=%d", d.env.Self, pkt, pkt.Owner, m.Seq))
 		}
@@ -126,7 +126,7 @@ func (d *DirCache) OnOrdered(m *network.Message) {
 		return
 	}
 	// Invalidation (or forward multicast copy) addressed to a sharer.
-	l := d.lines[pkt.Addr]
+	l := d.lines.get(pkt.Addr)
 	if l == nil {
 		return // stale superset membership, no copy
 	}
@@ -136,7 +136,7 @@ func (d *DirCache) OnOrdered(m *network.Message) {
 // marker processes the ordered message that fixes this requestor's place in
 // the total order.
 func (d *DirCache) marker(seq uint64, pkt *Packet) {
-	l := d.lines[pkt.Addr]
+	l := d.lines.get(pkt.Addr)
 	if l == nil || l.txn == nil || l.txn.id != pkt.TxnID {
 		panic("directory: marker without matching transaction")
 	}
@@ -267,7 +267,7 @@ func (d *DirCache) shInval(l *line, seq uint64, pkt *Packet) {
 }
 
 func (d *DirCache) wbResolution(seq uint64, pkt *Packet) {
-	l := d.lines[pkt.Addr]
+	l := d.lines.get(pkt.Addr)
 	if l == nil || l.txn == nil || !l.txn.isWB {
 		panic("directory: writeback resolution without WB transaction")
 	}
@@ -294,7 +294,7 @@ func (d *DirCache) OnUnordered(pkt *Packet) {
 	if pkt.Kind != Data {
 		panic(fmt.Sprintf("directory cache: unexpected %s", pkt.Kind))
 	}
-	l := d.lines[pkt.Addr]
+	l := d.lines.get(pkt.Addr)
 	if l == nil || l.txn == nil || l.txn.id != pkt.TxnID {
 		d.stats.StaleDataDropped++
 		return

@@ -11,10 +11,12 @@ type memWait struct {
 }
 
 // dirEntry is the per-block state a memory controller keeps for blocks it is
-// home for. Snooping uses only the owner field ("one bit of state ... to
-// indicate if it is the owner", strengthened to an identity so stale
-// writebacks are locally detectable — see DESIGN.md Section 2). Directory
-// and BASH additionally keep the sharer superset.
+// home for. Snooping uses only the owner field. The paper's memory keeps
+// "one bit of state ... to indicate if it is the owner" (Section 3.1); this
+// keeps the owner's identity instead, so a PutM from a cache that has
+// already lost ownership to a later GetM is recognized as stale from local
+// state alone and ignored. Directory and BASH additionally keep the sharer
+// superset.
 type dirEntry struct {
 	state   MemState
 	owner   network.NodeID // valid when state == CacheOwner
@@ -33,37 +35,39 @@ type dirEntry struct {
 // through the system's shared Recycler so a pooled System's warmed
 // directory capacity survives reuse.
 type dirState struct {
-	blocks map[Addr]*dirEntry
+	blocks blockTable[dirEntry]
 	rec    *Recycler
 }
 
 func newDirState(rec *Recycler) *dirState {
-	return &dirState{blocks: make(map[Addr]*dirEntry), rec: rec}
+	return &dirState{rec: rec}
 }
 
-// reset returns every block to clean-at-memory, keeping the map's bucket
-// storage and draining the live entries into the recycler (waiting-slice
+// reset returns every block to clean-at-memory, keeping the table's slot
+// arrays and draining the live entries into the recycler (waiting-slice
 // capacity retained, parked packets dropped to the GC) so the next run
 // materializes its working set without allocating.
 func (d *dirState) reset() {
-	for _, e := range d.blocks {
-		d.rec.putDirEntry(e)
+	for _, e := range d.blocks.vals {
+		if e != nil {
+			d.rec.putDirEntry(e)
+		}
 	}
-	clear(d.blocks)
+	d.blocks.clear()
 }
 
 // entry returns the entry for addr, materializing the default.
 func (d *dirState) entry(addr Addr) *dirEntry {
-	e := d.blocks[addr]
+	e := d.blocks.get(addr)
 	if e == nil {
 		e = d.rec.getDirEntry()
-		d.blocks[addr] = e
+		d.blocks.put(addr, e)
 	}
 	return e
 }
 
 // peek returns the entry if present without materializing it.
-func (d *dirState) peek(addr Addr) *dirEntry { return d.blocks[addr] }
+func (d *dirState) peek(addr Addr) *dirEntry { return d.blocks.get(addr) }
 
 // ownerOf returns the owner node, or MemoryOwner.
 func (e *dirEntry) ownerOf() network.NodeID {

@@ -74,7 +74,7 @@ func snoopCacheTable() *Table {
 // of the transition table.
 func (s *SnoopCache) Access(op Op, done func()) {
 	st := s.StateOf(op.Addr)
-	if l := s.lines[op.Addr]; l == nil || l.txn == nil {
+	if l := s.lines.get(op.Addr); l == nil || l.txn == nil {
 		ev := EvLoad
 		if op.Store {
 			ev = EvStore
@@ -124,7 +124,7 @@ func (s *SnoopCache) OnOrdered(m *network.Message) {
 		s.ownReq(m.Seq, pkt)
 		return
 	}
-	l := s.lines[pkt.Addr]
+	l := s.lines.get(pkt.Addr)
 	if l == nil {
 		return // no copy, no transaction: nothing to snoop
 	}
@@ -132,7 +132,7 @@ func (s *SnoopCache) OnOrdered(m *network.Message) {
 }
 
 func (s *SnoopCache) ownReq(seq uint64, pkt *Packet) {
-	l := s.lines[pkt.Addr]
+	l := s.lines.get(pkt.Addr)
 	if l == nil || l.txn == nil || l.txn.id != pkt.TxnID {
 		panic("snooping: own request without matching transaction")
 	}
@@ -245,7 +245,7 @@ func (s *SnoopCache) OnUnordered(pkt *Packet) {
 	if pkt.Kind != Data {
 		panic(fmt.Sprintf("snooping cache: unexpected %s", pkt.Kind))
 	}
-	l := s.lines[pkt.Addr]
+	l := s.lines.get(pkt.Addr)
 	if l == nil || l.txn == nil || l.txn.id != pkt.TxnID {
 		// Redundant data for an upgrade that completed at its marker.
 		s.stats.StaleDataDropped++

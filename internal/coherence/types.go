@@ -16,8 +16,10 @@
 // that order. Responses (data/acks) are tagged with the sequence number of
 // the instance that satisfied the transaction (its "effective instance"),
 // which lets a requestor classify deferred foreign requests as ordered
-// before or after its own transaction. Section 5 of DESIGN.md develops the
-// full argument.
+// before or after its own transaction. Instances ordered before the
+// effective one are already reflected in the data it received and are
+// dropped; later ones are applied, in order, to the state the transaction
+// leaves behind.
 package coherence
 
 import (

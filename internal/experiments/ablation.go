@@ -7,11 +7,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Ablation separates the value of adaptivity from the hybrid engine
-// (DESIGN.md Section 7): the BASH machinery forced to always-broadcast or
-// always-unicast against the adaptive policy at low, mid and high bandwidth,
-// plus the sampling-interval and policy-counter-width sensitivity the paper
-// discusses in Section 2.2.
+// Ablation separates the value of adaptivity from the hybrid engine. With
+// its choice fixed, BASH's machinery behaves like one of the base protocols
+// (Section 3.3), so the ablation forces it to always-broadcast or
+// always-unicast and runs both against the adaptive policy at low, mid and
+// high bandwidth. It adds the sampling-interval and policy-counter-width
+// sensitivity the paper discusses in Section 2.2.
 func Ablation(o Options) *TableResult {
 	warm, measure := o.ops()
 	nodes := 16

@@ -95,9 +95,9 @@ func TestKernelStepEmpty(t *testing.T) {
 	}
 }
 
-// TestKernelHeapProperty: events always fire in nondecreasing time order,
-// for arbitrary schedules.
-func TestKernelHeapProperty(t *testing.T) {
+// TestKernelTimeNeverDecreases: events always fire in nondecreasing time
+// order, for arbitrary schedules.
+func TestKernelTimeNeverDecreases(t *testing.T) {
 	f := func(delays []uint16) bool {
 		k := NewKernel()
 		var last Time = -1
@@ -118,8 +118,8 @@ func TestKernelHeapProperty(t *testing.T) {
 	}
 }
 
-// TestKernelTotalOrder cross-checks the 4-ary heap against a reference
-// sort: for arbitrary schedules, events fire in exactly (time, seq) order.
+// TestKernelTotalOrder cross-checks the kernel against a reference sort:
+// for arbitrary schedules, events fire in exactly (time, seq) order.
 func TestKernelTotalOrder(t *testing.T) {
 	f := func(delays []uint16) bool {
 		k := NewKernel()
@@ -178,20 +178,30 @@ func TestKernelReset(t *testing.T) {
 	}
 }
 
-// TestKernelZeroAllocSteadyState: once the queue slice has grown to its
-// high-water mark, Schedule and Step allocate nothing.
+// TestKernelZeroAllocSteadyState: once the near-tier slab and the far-tier
+// heap have grown to their high-water marks, Schedule and Step allocate
+// nothing. Delays reach past the wheel span, so both tiers are exercised.
 func TestKernelZeroAllocSteadyState(t *testing.T) {
 	k := NewKernel()
 	fn := func() {}
-	// Warm the slice to its high-water mark.
+	delay := func(i int) Time {
+		if i%4 == 3 {
+			return wheelSize + Time(i%5)*wheelSize/2 // far tier
+		}
+		return Time(i % 13) // near tier
+	}
+	// Warm both tiers to their high-water marks.
 	for i := 0; i < 256; i++ {
-		k.Schedule(Time(i%13), fn)
+		k.Schedule(delay(i), fn)
 	}
 	k.Drain()
 	k.Reset()
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 256; i++ {
-			k.Schedule(Time(i%13), fn)
+			k.Schedule(delay(i), fn)
+		}
+		if len(k.far) == 0 || k.near == 0 {
+			t.Fatalf("schedule left a tier empty: near %d far %d", k.near, len(k.far))
 		}
 		for k.Step() {
 		}
@@ -283,4 +293,163 @@ func TestRNGFloat64Range(t *testing.T) {
 			t.Fatalf("Float64 out of range: %v", v)
 		}
 	}
+}
+
+// refQueue is the differential tests' reference event queue: a plain list
+// popped by a linear scan for the minimum (at, seq).
+type refQueue struct {
+	evs []refEvent
+	seq int
+}
+
+type refEvent struct {
+	at  Time
+	seq int
+	id  int
+	far bool // scheduled W or more ahead: the kernel's far tier
+}
+
+func (q *refQueue) push(at Time, id int, far bool) {
+	q.seq++
+	q.evs = append(q.evs, refEvent{at: at, seq: q.seq, id: id, far: far})
+}
+
+func (q *refQueue) min() int {
+	best := 0
+	for i, e := range q.evs {
+		b := q.evs[best]
+		if e.at < b.at || e.at == b.at && e.seq < b.seq {
+			best = i
+		}
+	}
+	return best
+}
+
+func (q *refQueue) pop() refEvent {
+	i := q.min()
+	e := q.evs[i]
+	q.evs = append(q.evs[:i], q.evs[i+1:]...)
+	return e
+}
+
+// TestKernelMatchesReference runs random nested schedules through the
+// kernel and a reference queue in lock step: every event the kernel fires
+// must be the reference's minimum (at, seq). Delays span 0 to 4W around the
+// wheel span W, with W-1, W and W+1 drawn often. Some events schedule a
+// far-tier event at an instant T plus a helper that, once T is within W,
+// schedules near-tier events at T, forcing cross-tier ties. The driver
+// mixes Step with Run horizons that stop mid-stream, and resets the kernel
+// mid-run before reusing it.
+func TestKernelMatchesReference(t *testing.T) {
+	const budget = 6000 // events scheduled per seed
+	var ties, horizons, resets int
+	for seed := uint64(1); seed <= 12; seed++ {
+		rng := NewRNG(seed)
+		k := NewKernel()
+		var ref refQueue
+		ids := 0
+		// tiers records, per instant, whether a far-tier and a near-tier
+		// event fired there.
+		tiers := map[Time][2]bool{}
+		delay := func() Time {
+			switch rng.Intn(10) {
+			case 0:
+				return 0
+			case 1:
+				return wheelSize - 1
+			case 2:
+				return wheelSize
+			case 3:
+				return wheelSize + 1
+			case 4:
+				return Time(rng.Intn(4*wheelSize + 1))
+			case 5:
+				return Time(rng.Intn(wheelSize))
+			default:
+				return Time(rng.Intn(64))
+			}
+		}
+		// schedule adds an event at at to both queues. When it fires it
+		// checks the reference agrees, schedules random children and, if
+		// tieAt is set, near-tier events at tieAt.
+		var schedule func(at, tieAt Time)
+		schedule = func(at, tieAt Time) {
+			id := ids
+			ids++
+			far := at-k.Now() >= wheelSize
+			ref.push(at, id, far)
+			k.At(at, func() {
+				want := ref.pop()
+				if want.id != id || want.at != k.Now() {
+					t.Fatalf("seed %d: fired event %d at %d, reference fires %d at %d",
+						seed, id, k.Now(), want.id, want.at)
+				}
+				seen := tiers[want.at]
+				if want.far {
+					seen[0] = true
+				} else {
+					seen[1] = true
+				}
+				tiers[want.at] = seen
+				for n := rng.Intn(2); tieAt > 0 && n >= 0; n-- {
+					schedule(tieAt, 0)
+				}
+				if ids >= budget {
+					return
+				}
+				for n := []int{0, 1, 1, 2}[rng.Intn(4)]; n > 0; n-- {
+					schedule(k.Now()+delay(), 0)
+				}
+				if rng.Intn(8) == 0 {
+					tie := k.Now() + wheelSize + Time(rng.Intn(64))
+					schedule(tie, 0)
+					schedule(tie-Time(1+rng.Intn(wheelSize-1)), tie)
+				}
+			})
+		}
+		for i := 0; i < 64; i++ {
+			schedule(delay(), 0)
+		}
+		reset := false
+		for len(ref.evs) > 0 || k.Pending() > 0 {
+			if k.Pending() != len(ref.evs) {
+				t.Fatalf("seed %d: kernel holds %d events, reference %d", seed, k.Pending(), len(ref.evs))
+			}
+			switch {
+			case !reset && ids >= budget/2:
+				reset = true
+				resets++
+				k.Reset()
+				ref = refQueue{}
+				tiers = map[Time][2]bool{}
+				if k.Now() != 0 || k.Pending() != 0 || k.Fired() != 0 {
+					t.Fatalf("seed %d: after Reset now=%d pending=%d fired=%d", seed, k.Now(), k.Pending(), k.Fired())
+				}
+				for i := 0; i < 64; i++ {
+					schedule(delay(), 0)
+				}
+			case rng.Intn(4) == 0:
+				h := k.Now() + Time(rng.Intn(2*wheelSize))
+				k.Run(h)
+				horizons++
+				if k.Now() != h {
+					t.Fatalf("seed %d: Run(%d) stopped at %d", seed, h, k.Now())
+				}
+				if len(ref.evs) > 0 && ref.evs[ref.min()].at <= h {
+					t.Fatalf("seed %d: Run(%d) left an event due at %d", seed, h, ref.evs[ref.min()].at)
+				}
+			default:
+				k.Step()
+			}
+		}
+		for _, s := range tiers {
+			if s[0] && s[1] {
+				ties++
+			}
+		}
+	}
+	if ties == 0 || horizons == 0 || resets == 0 {
+		t.Fatalf("coverage: %d cross-tier ties, %d horizons, %d resets", ties, horizons, resets)
+	}
+	t.Logf("%d cross-tier ties, %d horizons, %d resets", ties, horizons, resets)
 }

@@ -5,9 +5,8 @@ package svc
 // first, FIFO within a priority — so that contract is pinned here.
 
 import (
-	"fmt"
+	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,25 +17,15 @@ import (
 // TestScheduleLockedPriorityFIFO: with the single slot artificially held,
 // three equal-priority sweeps and one later high-priority sweep queue up;
 // once the slot frees, the high-priority sweep jumps the queue and the
-// equal-priority ones start in submission order. MaxActive 1 serializes
-// execution, so the finish-log order is exactly the start order.
+// equal-priority ones start in submission order. The start order is read
+// from each sweep's start time: a finished sweep frees its slot, and the
+// next one may finish, before the first logs its completion line, so the
+// log order is not the start order.
 func TestScheduleLockedPriorityFIFO(t *testing.T) {
-	var mu sync.Mutex
-	var order []string
 	s := New(Options{
 		MaxActive:   1,
 		Coordinator: dist.CoordinatorOptions{CoExecute: 2},
 		Experiments: experiments.Options{Scale: experiments.Quick},
-		Log: func(format string, args ...any) {
-			line := fmt.Sprintf(format, args...)
-			// "svc: sweep s001 (fig2) done in 0.1s" marks one completion.
-			if strings.Contains(line, ") done in ") {
-				fields := strings.Fields(line)
-				mu.Lock()
-				order = append(order, fields[2])
-				mu.Unlock()
-			}
-		},
 	})
 
 	// Hold the only scheduler slot so submissions queue without starting.
@@ -64,9 +53,11 @@ func TestScheduleLockedPriorityFIFO(t *testing.T) {
 	s.mu.Unlock()
 
 	deadline := time.Now().Add(60 * time.Second)
+	var statuses []SweepStatus
 	for {
+		statuses = s.SweepStatuses()
 		done := 0
-		for _, st := range s.SweepStatuses() {
+		for _, st := range statuses {
 			switch st.State {
 			case Done:
 				done++
@@ -74,23 +65,21 @@ func TestScheduleLockedPriorityFIFO(t *testing.T) {
 				t.Fatalf("sweep %s (%s) ended %s: %s", st.ID, st.Exp, st.State, st.Err)
 			}
 		}
-		// A sweep's state turns Done before its completion line is logged,
-		// so wait for all four lines too.
-		mu.Lock()
-		logged := len(order)
-		mu.Unlock()
-		if done == 4 && logged == 4 {
+		if done == 4 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("sweeps did not finish; statuses: %+v", s.SweepStatuses())
+			t.Fatalf("sweeps did not finish; statuses: %+v", statuses)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	mu.Lock()
+	sort.SliceStable(statuses, func(i, j int) bool { return statuses[i].Started.Before(statuses[j].Started) })
+	var order []string
+	for _, st := range statuses {
+		order = append(order, st.ID)
+	}
 	got := strings.Join(order, ",")
-	mu.Unlock()
 	want := strings.Join([]string{d, a, b, c}, ",")
 	if got != want {
 		t.Fatalf("start order %s, want %s (priority jumps the queue, FIFO within a priority)", got, want)

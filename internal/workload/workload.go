@@ -7,7 +7,8 @@
 // replaced by a parameterized generator that reproduces the properties the
 // paper identifies as decisive: the miss rate (modeled as think time between
 // misses), the fraction of sharing misses (cache-to-cache transfers), and
-// the read/write mix. DESIGN.md Section 2 documents the substitution.
+// the read/write mix. Those are the inputs the paper's results depend on
+// (Section 5.1), so the generators stand in for the full-system runs.
 package workload
 
 import (
