@@ -102,16 +102,19 @@
 //
 // With ExperimentOptions.CacheDir set (the bashsim CLI defaults it to
 // .cache/, -no-cache disables), every simulated cell's Metrics is persisted
-// under <dir>/<hh>/<sha256(key)>.gob, where the key string encodes a format
+// under <dir>/<hh>/<sha256(key)>.cell, where the key string encodes a format
 // version plus every field of the cell's configuration, and <hh> is the
-// hash's first two hex digits. Files carry a versioned envelope with the
-// full key and are written atomically (temp + rename); a missing, corrupt,
-// stale-version or colliding entry is treated as a miss and re-simulated,
-// never as an error. Re-running an unchanged experiment therefore costs
-// zero simulations, and an interrupted `bashsim -exp all -scale full`
-// resumes where it stopped. bashtest persists tester trial Reports the same
-// way. Bumping a key's format version (cellFormat in internal/experiments,
-// reportFormat in internal/tester) orphans stale entries wholesale.
+// hash's first two hex digits. Each file is one fixed binary entry — magic,
+// entry format version, the full key, then the Metrics as an 88-byte
+// little-endian record — written atomically (temp + rename); a missing,
+// corrupt, stale-version or colliding entry is treated as a miss and
+// re-simulated, never as an error. Entries of the earlier gob format
+// (<hash>.gob) never hit and are removed by -cache-gc. Re-running an
+// unchanged experiment therefore costs zero simulations, and an interrupted
+// `bashsim -exp all -scale full` resumes where it stopped. bashtest persists
+// tester trial Reports the same way. Bumping a key's format version
+// (cellFormat in internal/experiments, reportFormat in internal/tester)
+// orphans stale entries wholesale.
 //
 // # Distributed sweeps
 //
@@ -167,7 +170,7 @@
 // a hinted cell, the worker fetches it — directly from an advertised
 // holder's peer listener when one is known, else served from the
 // coordinator's own store (DistOptions.CacheDir) or relayed from the
-// holder — and installs the raw entry after the same fail-closed envelope
+// holder — and installs the raw entry after the same fail-closed header
 // checks as a local store read. Indicator false positives, departed
 // holders, and relay timeouts all degrade tier by tier (direct fetch,
 // coordinator relay, local simulation), never to a wrong result; a cold

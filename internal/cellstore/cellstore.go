@@ -5,12 +5,15 @@
 // later invocation: `bashsim -exp all -scale full` resumes after an
 // interruption, and unchanged cells cost zero simulations on re-run.
 //
-// Layout: <dir>/<hh>/<hash>.gob, where hash is the hex SHA-256 of the
+// Layout: <dir>/<hh>/<hash>.cell, where hash is the hex SHA-256 of the
 // caller's key string and hh its first two digits (fan-out so no directory
-// grows unboundedly). Each file is a gob stream of an envelope — format
-// version plus the full key, guarding against format drift and hash
-// collisions — followed by the caller's value. Files are written to a
-// temporary name and renamed, so readers never observe partial writes.
+// grows unboundedly). Each file is one entry: the magic "BSCE", the format
+// version byte (2), the key's length as a uvarint, the full key — guarding
+// against format drift and hash collisions — and then the caller's value
+// in its own encoding (see Value and Target) up to the end of the file.
+// Files are written to a temporary name and renamed, so readers never
+// observe partial writes. Version-1 entries (gob streams under <hash>.gob)
+// are never read; GC removes them as stale.
 //
 // The store is forgiving by design: a missing, corrupt, stale-version or
 // key-mismatched file is a miss, never an error — the caller simply
@@ -21,7 +24,6 @@ package cellstore
 
 import (
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"io"
 	"os"
@@ -63,16 +65,6 @@ var (
 	fingerprintOnce sync.Once
 	fingerprint     string
 )
-
-// formatVersion is bumped whenever the on-disk envelope layout changes;
-// files with any other version are ignored (treated as a miss).
-const formatVersion = 1
-
-// envelope prefixes every stored value.
-type envelope struct {
-	Format int
-	Key    string
-}
 
 // Store is one on-disk cache directory. Safe for concurrent use.
 type Store struct {
@@ -122,35 +114,25 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) path(key string) string {
 	h := sha256.Sum256([]byte(key))
 	hx := hex.EncodeToString(h[:])
-	return filepath.Join(s.dir, hx[:2], hx+".gob")
+	return filepath.Join(s.dir, hx[:2], hx+entryExt)
 }
 
-// Get decodes the stored result for key into value (a pointer) and reports
-// whether it was present and intact. Any defect — absent file, truncated or
-// corrupt gob, foreign format version, colliding key — counts as a miss,
-// and the defective file is removed: with stores advertised to peers (see
-// Keys and the dist exchange), a poisoned entry left in place could be
+// Get decodes the stored result for key into value and reports whether it
+// was present and intact. Any defect — absent file, foreign magic or format
+// version, colliding key, a value body its Target refuses — counts as a
+// miss, and the defective file is removed: with stores advertised to peers
+// (see Keys and the dist exchange), a poisoned entry left in place could be
 // re-served forever, whereas removal costs at most one re-simulation. The
 // removal can in principle race a concurrent Put refreshing the same path
 // and delete the fresh entry; that, too, only costs a future re-simulation.
-func (s *Store) Get(key string, value any) bool {
+func (s *Store) Get(key string, value Target) bool {
 	path := s.path(key)
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		s.misses.Add(1)
 		return false
 	}
-	defer f.Close()
-	dec := gob.NewDecoder(f)
-	var env envelope
-	if dec.Decode(&env) != nil || env.Format != formatVersion || env.Key != key {
-		if os.Remove(path) == nil {
-			s.evictions.Add(1)
-		}
-		s.misses.Add(1)
-		return false
-	}
-	if dec.Decode(value) != nil {
+	if DecodeRaw(raw, key, value) != nil {
 		if os.Remove(path) == nil {
 			s.evictions.Add(1)
 		}
@@ -164,7 +146,18 @@ func (s *Store) Get(key string, value any) bool {
 // Put stores value under key, atomically (write to a temp file, then
 // rename). Errors are returned for observability but are safe to ignore:
 // a failed Put only costs a future re-simulation.
-func (s *Store) Put(key string, value any) error {
+func (s *Store) Put(key string, value Value) error {
+	// 128 bytes beyond the key hold the header and a core.Metrics record.
+	raw, err := value.AppendCell(appendHeader(make([]byte, 0, 128+len(key)), key))
+	if err != nil {
+		return err
+	}
+	return s.write(key, raw)
+}
+
+// write installs one encoded entry under key: a temp file in the entry's
+// directory, renamed over the entry.
+func (s *Store) write(key string, raw []byte) error {
 	path := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
@@ -173,11 +166,7 @@ func (s *Store) Put(key string, value any) error {
 	if err != nil {
 		return err
 	}
-	enc := gob.NewEncoder(tmp)
-	if err := enc.Encode(envelope{Format: formatVersion, Key: key}); err == nil {
-		err = enc.Encode(value)
-	}
-	if err != nil {
+	if _, err := tmp.Write(raw); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err

@@ -1,7 +1,6 @@
 package cellstore
 
 import (
-	"encoding/gob"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,9 +13,9 @@ type GCResult struct {
 	// Kept counts entries left in place; KeptBytes their total size.
 	Kept      int
 	KeptBytes int64
-	// RemovedStale counts entries evicted because their envelope carried a
-	// foreign format version or could not be decoded at all — they can
-	// never hit again, only waste space.
+	// RemovedStale counts entries evicted because their header carried a
+	// foreign format version or could not be parsed at all, plus leftover
+	// version-1 .gob files — they can never hit again, only waste space.
 	RemovedStale int
 	// RemovedExpired counts intact entries evicted for age.
 	RemovedExpired int
@@ -35,13 +34,13 @@ func (r GCResult) Removed() int {
 const tempMaxAge = time.Hour
 
 // GC walks the store and evicts entries that can no longer (or should no
-// longer) hit: files whose envelope carries a stale format version or is
-// unreadable, files older than maxAge (zero keeps any age — format-stale
-// entries are still evicted), and temp-file litter from crashed writers.
-// Age is the file's modification time, i.e. when the entry was written.
-// Concurrent readers are safe: an entry disappearing under a Get is an
-// ordinary miss. The walk continues past per-file errors; only a broken
-// walk itself is returned.
+// longer) hit: files whose header carries a stale format version or is
+// unreadable, version-1 .gob files, files older than maxAge (zero keeps any
+// age — format-stale entries are still evicted), and temp-file litter from
+// crashed writers. Age is the file's modification time, i.e. when the entry
+// was written. Concurrent readers are safe: an entry disappearing under a
+// Get is an ordinary miss. The walk continues past per-file errors; only a
+// broken walk itself is returned.
 func (s *Store) GC(maxAge time.Duration) (GCResult, error) {
 	var res GCResult
 	cutoff := time.Time{}
@@ -72,9 +71,9 @@ func (s *Store) GC(maxAge time.Duration) (GCResult, error) {
 					res.RemovedBytes += info.Size()
 				}
 			}
-		case strings.HasSuffix(name, ".gob"):
+		case strings.HasSuffix(name, entryExt), strings.HasSuffix(name, legacyExt):
 			switch {
-			case !entryCurrent(path):
+			case strings.HasSuffix(name, legacyExt) || !entryCurrent(path):
 				if os.Remove(path) == nil {
 					res.RemovedStale++
 					res.RemovedBytes += info.Size()
@@ -95,14 +94,9 @@ func (s *Store) GC(maxAge time.Duration) (GCResult, error) {
 	return res, err
 }
 
-// entryCurrent reports whether the file holds a decodable envelope with the
+// entryCurrent reports whether the file holds a parsable header with the
 // current format version.
 func entryCurrent(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var env envelope
-	return gob.NewDecoder(f).Decode(&env) == nil && env.Format == formatVersion
+	_, ok := entryKey(path)
+	return ok
 }

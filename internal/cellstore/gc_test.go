@@ -1,7 +1,6 @@
 package cellstore
 
 import (
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,7 +18,7 @@ func TestGCEvictsStaleAndAged(t *testing.T) {
 	}
 	// Four healthy entries.
 	for _, k := range []string{"a", "b", "c", "d"} {
-		if err := st.Put("key-"+k, k); err != nil {
+		if err := st.Put("key-"+k, cell(uint64(k[0]))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -28,18 +27,12 @@ func TestGCEvictsStaleAndAged(t *testing.T) {
 	if err := os.Chtimes(st.path("key-a"), old, old); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(st.path("key-b"), []byte("not a gob stream"), 0o644); err != nil {
+	if err := os.WriteFile(st.path("key-b"), []byte("not a cell entry"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	foreign, err := os.Create(st.path("key-c"))
-	if err != nil {
+	if err := os.WriteFile(st.path("key-c"), foreignVersion(t, st, "key-c"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	enc := gob.NewEncoder(foreign)
-	if err := enc.Encode(envelope{Format: formatVersion + 99, Key: "key-c"}); err != nil {
-		t.Fatal(err)
-	}
-	foreign.Close()
 	// Abandoned temp litter (old) and a fresh temp file (kept: a writer
 	// might still own it).
 	oldTmp := filepath.Join(dir, "00", ".tmp-dead")
@@ -69,11 +62,11 @@ func TestGCEvictsStaleAndAged(t *testing.T) {
 	if res.Removed() != 4 {
 		t.Errorf("Removed() = %d, want 4", res.Removed())
 	}
-	var v string
+	var v record
 	if st.Get("key-a", &v) || st.Get("key-b", &v) || st.Get("key-c", &v) {
 		t.Error("evicted entries still readable")
 	}
-	if !st.Get("key-d", &v) || v != "d" {
+	if !st.Get("key-d", &v) || v != cell('d') {
 		t.Error("healthy entry lost")
 	}
 	if _, err := os.Stat(freshTmp); err != nil {
@@ -88,7 +81,7 @@ func TestGCEvictsStaleAndAged(t *testing.T) {
 func TestGCZeroMaxAgeKeepsAnyAge(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := Open(dir)
-	if err := st.Put("ancient", 42); err != nil {
+	if err := st.Put("ancient", cell(42)); err != nil {
 		t.Fatal(err)
 	}
 	old := time.Now().Add(-10 * 365 * 24 * time.Hour)
@@ -108,7 +101,7 @@ func TestGCZeroMaxAgeKeepsAnyAge(t *testing.T) {
 func TestGCTempAgeClampedToMaxAge(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := Open(dir)
-	if err := st.Put("live", 1); err != nil {
+	if err := st.Put("live", cell(1)); err != nil {
 		t.Fatal(err)
 	}
 	// A temp file 10 minutes old: younger than tempMaxAge (1h) but older

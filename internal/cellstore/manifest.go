@@ -11,7 +11,7 @@ import (
 )
 
 // manifestName is the manifest's file name under the store directory. It is
-// JSON (unlike the gob entries) so humans and dashboards can read cache
+// JSON (unlike the binary entries) so humans and dashboards can read cache
 // effectiveness without the simulator.
 const manifestName = "manifest.json"
 

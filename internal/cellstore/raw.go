@@ -1,19 +1,17 @@
 package cellstore
 
 // Raw-entry access: the peer cell exchange (internal/dist) moves store
-// entries between machines as opaque byte blobs — the exact gob stream a
-// file holds, envelope included — so a fetched cell installs with the same
-// format guarantees a locally written one has. Keys enumerates what a store
+// entries between machines as opaque byte blobs — the exact bytes a file
+// holds, header included — so a fetched cell installs with the same format
+// guarantees a locally written one has. Keys enumerates what a store
 // can serve, which is what a worker advertises to the fleet.
 //
 // The fingerprint contract: cache keys embed the binary fingerprint (see
-// Fingerprint and the callers' key formats), so a key match on the envelope
+// Fingerprint and the callers' key formats), so a key match on the header
 // IS a fingerprint match — raw bytes produced by a different build carry a
 // different key and are rejected at install, never silently replayed.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,11 +29,12 @@ type keyStamp struct {
 	mtime time.Time
 }
 
-// Keys enumerates every intact current-format entry's key, sorted. Entries
-// whose envelope cannot be decoded, or that carry a foreign format version,
-// are skipped (they cannot be served, so they must not be advertised).
-// Results are cached per file against size+mtime, so steady-state rescans
-// cost one directory walk and zero decodes.
+// Keys enumerates every current-format entry's key, sorted. Entries whose
+// header cannot be parsed, or that carry a foreign format version, are
+// skipped (they cannot be served, so they must not be advertised), and so
+// are version-1 .gob files. Results are cached per file against
+// size+mtime, so steady-state rescans cost one directory walk and zero
+// parses.
 func (s *Store) Keys() []string {
 	s.keysMu.Lock()
 	defer s.keysMu.Unlock()
@@ -57,7 +56,7 @@ func (s *Store) Keys() []string {
 			continue
 		}
 		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".gob") {
+			if e.IsDir() || !strings.HasSuffix(e.Name(), entryExt) {
 				continue
 			}
 			path := filepath.Join(s.dir, sub.Name(), e.Name())
@@ -72,7 +71,7 @@ func (s *Store) Keys() []string {
 				}
 				continue
 			}
-			key := entryKey(path)
+			key, _ := entryKey(path)
 			s.keyCache[path] = keyStamp{key: key, size: info.Size(), mtime: info.ModTime()}
 			if key != "" {
 				keys = append(keys, key)
@@ -88,19 +87,18 @@ func (s *Store) Keys() []string {
 	return keys
 }
 
-// entryKey decodes one file's envelope and returns its key, "" when the
-// entry is not a servable current-format one.
-func entryKey(path string) string {
-	f, err := os.Open(path)
+// entryKey parses one file's header and returns its key; ok is false when
+// the entry is not a servable current-format one.
+func entryKey(path string) (key string, ok bool) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return ""
+		return "", false
 	}
-	defer f.Close()
-	var env envelope
-	if gob.NewDecoder(f).Decode(&env) != nil || env.Format != formatVersion {
-		return ""
+	k, _, err := parseHeader(raw)
+	if err != nil {
+		return "", false
 	}
-	return env.Key
+	return string(k), true
 }
 
 // Contains reports whether an entry file exists for key without decoding
@@ -112,8 +110,8 @@ func (s *Store) Contains(key string) bool {
 	return err == nil
 }
 
-// GetRaw returns the verbatim stored bytes for key — the full gob stream,
-// envelope included — suitable for shipping to a peer and installing via
+// GetRaw returns the verbatim stored bytes for key — the whole entry,
+// header included — suitable for shipping to a peer and installing via
 // PutRaw. Like Get, any defect is a miss, and a corrupt or mismatched file
 // is removed so it cannot be re-advertised.
 func (s *Store) GetRaw(key string) ([]byte, bool) {
@@ -133,76 +131,37 @@ func (s *Store) GetRaw(key string) ([]byte, bool) {
 }
 
 // PutRaw installs raw bytes (a peer's GetRaw output) under key, atomically
-// (temp file + rename) like Put. The envelope is verified before anything
-// touches the store: wrong format, wrong key — which, keys embedding the
-// binary fingerprint, includes a fingerprint mismatch — or undecodable
-// bytes are rejected, so a confused or malicious peer can never poison the
-// local store (fail closed).
+// (temp file + rename) like Put. The header is verified before anything
+// touches the store: wrong magic or format, wrong key — which, keys
+// embedding the binary fingerprint, includes a fingerprint mismatch — or an
+// unparsable header are rejected, so a confused or malicious peer can never
+// poison the local store (fail closed).
 func (s *Store) PutRaw(key string, raw []byte) error {
 	if err := VerifyRaw(key, raw); err != nil {
 		return err
 	}
-	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	return s.write(key, raw)
+}
+
+// VerifyRaw checks that raw is an entry for key: a parsable current-format
+// header whose key matches exactly. It does not decode the value —
+// DecodeRaw does that — so it is cheap enough for relay paths that never
+// interpret the payload.
+func VerifyRaw(key string, raw []byte) error {
+	_, err := checkEntry(key, raw)
+	return err
+}
+
+// DecodeRaw decodes a raw entry's value into value after verifying its
+// header against key. This is the fetch path's fail-closed gate: any defect
+// returns an error and the caller falls back to simulating locally — a
+// peer can cost a fetch round-trip, never a wrong result.
+func DecodeRaw(raw []byte, key string, value Target) error {
+	v, err := checkEntry(key, raw)
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	s.writes.Add(1)
-	return nil
-}
-
-// VerifyRaw checks that raw is an intact entry for key: a decodable
-// envelope of the current format whose key matches exactly. It does not
-// decode the value — DecodeRaw does that — so it is cheap enough for
-// relay paths that never interpret the payload.
-func VerifyRaw(key string, raw []byte) error {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
-		return fmt.Errorf("cellstore: raw entry: undecodable envelope: %w", err)
-	}
-	if env.Format != formatVersion {
-		return fmt.Errorf("cellstore: raw entry: format %d (this build stores %d)", env.Format, formatVersion)
-	}
-	if env.Key != key {
-		return fmt.Errorf("cellstore: raw entry: key mismatch (entry %q): wrong cell or wrong binary fingerprint", env.Key)
-	}
-	return nil
-}
-
-// DecodeRaw decodes a raw entry's value into value (a pointer) after
-// verifying its envelope against key. This is the fetch path's fail-closed
-// gate: any defect returns an error and the caller falls back to
-// simulating locally — a peer can cost a fetch round-trip, never a wrong
-// result.
-func DecodeRaw(raw []byte, key string, value any) error {
-	dec := gob.NewDecoder(bytes.NewReader(raw))
-	var env envelope
-	if err := dec.Decode(&env); err != nil {
-		return fmt.Errorf("cellstore: raw entry: undecodable envelope: %w", err)
-	}
-	if env.Format != formatVersion {
-		return fmt.Errorf("cellstore: raw entry: format %d (this build stores %d)", env.Format, formatVersion)
-	}
-	if env.Key != key {
-		return fmt.Errorf("cellstore: raw entry: key mismatch (entry %q): wrong cell or wrong binary fingerprint", env.Key)
-	}
-	if err := dec.Decode(value); err != nil {
+	if err := value.DecodeCell(v); err != nil {
 		return fmt.Errorf("cellstore: raw entry: undecodable value: %w", err)
 	}
 	return nil

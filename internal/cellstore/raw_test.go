@@ -1,7 +1,6 @@
 package cellstore
 
 import (
-	"encoding/gob"
 	"os"
 	"testing"
 )
@@ -14,8 +13,8 @@ func TestKeysEnumeratesServableEntries(t *testing.T) {
 	if got := st.Keys(); len(got) != 0 {
 		t.Fatalf("empty store Keys = %v, want none", got)
 	}
-	for _, k := range []string{"cell-b", "cell-a", "cell-c"} {
-		if err := st.Put(k, payload{Name: k}); err != nil {
+	for i, k := range []string{"cell-b", "cell-a", "cell-c"} {
+		if err := st.Put(k, cell(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,15 +34,10 @@ func TestKeysEnumeratesServableEntries(t *testing.T) {
 	}
 
 	// A corrupt entry and a foreign-format entry must not be advertised.
-	corrupt(t, dir, []byte("definitely not gob"))
-	f, err := os.Create(st.path("cell-b"))
-	if err != nil {
+	corrupt(t, dir, []byte("definitely not an entry"))
+	if err := os.WriteFile(st.path("cell-b"), foreignVersion(t, st, "cell-b"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	enc := gob.NewEncoder(f)
-	enc.Encode(envelope{Format: formatVersion + 7, Key: "cell-b"})
-	enc.Encode(payload{Name: "future"})
-	f.Close()
 	got = st.Keys()
 	if len(got) != 1 {
 		t.Fatalf("Keys after corruption = %v, want exactly one survivor", got)
@@ -55,7 +49,7 @@ func TestKeysEnumeratesServableEntries(t *testing.T) {
 func TestRawRoundTrip(t *testing.T) {
 	src, _ := Open(t.TempDir())
 	dst, _ := Open(t.TempDir())
-	in := payload{Name: "cell", X: 1.5, Ns: []int64{4, 5}}
+	in := cell(4)
 	if err := src.Put("k", in); err != nil {
 		t.Fatal(err)
 	}
@@ -63,21 +57,21 @@ func TestRawRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("GetRaw missed a present entry")
 	}
-	var direct payload
+	var direct record
 	if err := DecodeRaw(raw, "k", &direct); err != nil {
 		t.Fatalf("DecodeRaw: %v", err)
 	}
-	if direct.Name != in.Name || direct.X != in.X || len(direct.Ns) != len(in.Ns) {
+	if direct != in {
 		t.Fatalf("DecodeRaw value = %+v, want %+v", direct, in)
 	}
 	if err := dst.PutRaw("k", raw); err != nil {
 		t.Fatalf("PutRaw: %v", err)
 	}
-	var out payload
+	var out record
 	if !dst.Get("k", &out) {
 		t.Fatal("installed raw entry missed on Get")
 	}
-	if out.Name != in.Name || out.X != in.X || len(out.Ns) != 2 {
+	if out != in {
 		t.Fatalf("raw round-trip mangled: %+v", out)
 	}
 	if !dst.Contains("k") || dst.Contains("absent") {
@@ -85,12 +79,12 @@ func TestRawRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPutRawRejectsDefects: corrupt bytes, a foreign format, and a key (=
-// fingerprint) mismatch are all rejected before anything touches disk.
+// TestPutRawRejectsDefects: corrupt bytes and a key (= fingerprint)
+// mismatch are rejected before anything touches disk.
 func TestPutRawRejectsDefects(t *testing.T) {
 	src, _ := Open(t.TempDir())
 	dst, _ := Open(t.TempDir())
-	src.Put("honest-key", payload{Name: "v"})
+	src.Put("honest-key", cell(5))
 	raw, _ := src.GetRaw("honest-key")
 
 	if err := dst.PutRaw("honest-key", []byte("garbage bytes")); err == nil {
@@ -102,7 +96,7 @@ func TestPutRawRejectsDefects(t *testing.T) {
 	if err := dst.PutRaw("key-with-other-fingerprint", raw); err == nil {
 		t.Fatal("PutRaw accepted a key-mismatched entry")
 	}
-	var v payload
+	var v record
 	if err := DecodeRaw(raw, "key-with-other-fingerprint", &v); err == nil {
 		t.Fatal("DecodeRaw accepted a key-mismatched entry")
 	}
@@ -124,9 +118,9 @@ func TestGetRemovesPoisonedEntries(t *testing.T) {
 	t.Run("get", func(t *testing.T) {
 		dir := t.TempDir()
 		st, _ := Open(dir)
-		st.Put("k", payload{Name: "good"})
-		corrupt(t, dir, []byte("not a gob stream"))
-		var out payload
+		st.Put("k", cell(1))
+		corrupt(t, dir, []byte("not a cell entry"))
+		var out record
 		if st.Get("k", &out) {
 			t.Fatal("corrupt file read as a hit")
 		}
@@ -140,8 +134,8 @@ func TestGetRemovesPoisonedEntries(t *testing.T) {
 	t.Run("getraw", func(t *testing.T) {
 		dir := t.TempDir()
 		st, _ := Open(dir)
-		st.Put("k", payload{Name: "good"})
-		corrupt(t, dir, []byte("still not gob"))
+		st.Put("k", cell(1))
+		corrupt(t, dir, []byte("still not an entry"))
 		if _, ok := st.GetRaw("k"); ok {
 			t.Fatal("corrupt file served raw")
 		}
@@ -152,12 +146,12 @@ func TestGetRemovesPoisonedEntries(t *testing.T) {
 	t.Run("truncated-value", func(t *testing.T) {
 		dir := t.TempDir()
 		st, _ := Open(dir)
-		st.Put("k", payload{Name: "good"})
-		// An intact envelope with a truncated value body must also be
+		st.Put("k", cell(1))
+		// An intact header with a truncated value body must also be
 		// removed: VerifyRaw alone would pass it, Get must not.
 		raw, _ := st.GetRaw("k")
 		os.WriteFile(st.path("k"), raw[:len(raw)-3], 0o644)
-		var out payload
+		var out record
 		if st.Get("k", &out) {
 			t.Fatal("truncated value read as a hit")
 		}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/coherence"
 	"repro/internal/sim"
@@ -32,6 +34,56 @@ type Metrics struct {
 	BytesPerOp float64
 	// ControlBytesPerOp is the 8-byte-message share of BytesPerOp.
 	ControlBytesPerOp float64
+}
+
+// metricsCellBytes is the size of Metrics' cell-store record: its eleven
+// fields as little-endian 64-bit words.
+const metricsCellBytes = 11 * 8
+
+// AppendCell appends m's cell-store record to dst: the fields in
+// declaration order, integers as their 64-bit two's-complement words and
+// floats as math.Float64bits, so every value (NaN payloads and -0
+// included) round-trips bit-exactly through DecodeCell. The names are
+// deliberately not MarshalBinary/UnmarshalBinary, which gob would adopt
+// for the dist plane's Metrics result blobs.
+func (m Metrics) AppendCell(dst []byte) ([]byte, error) {
+	le := binary.LittleEndian
+	dst = le.AppendUint64(dst, uint64(m.Protocol))
+	dst = le.AppendUint64(dst, m.Ops)
+	dst = le.AppendUint64(dst, uint64(m.Elapsed))
+	dst = le.AppendUint64(dst, math.Float64bits(m.Throughput))
+	dst = le.AppendUint64(dst, math.Float64bits(m.AvgMissLatency))
+	dst = le.AppendUint64(dst, math.Float64bits(m.Utilization))
+	dst = le.AppendUint64(dst, math.Float64bits(m.BroadcastFraction))
+	dst = le.AppendUint64(dst, m.Retries)
+	dst = le.AppendUint64(dst, m.Nacks)
+	dst = le.AppendUint64(dst, math.Float64bits(m.BytesPerOp))
+	dst = le.AppendUint64(dst, math.Float64bits(m.ControlBytesPerOp))
+	return dst, nil
+}
+
+// DecodeCell sets m from a record written by AppendCell. Any length other
+// than the record's is an error and leaves m untouched.
+func (m *Metrics) DecodeCell(src []byte) error {
+	if len(src) != metricsCellBytes {
+		return fmt.Errorf("core: metrics record is %d bytes, want %d", len(src), metricsCellBytes)
+	}
+	le := binary.LittleEndian
+	word := func(i int) uint64 { return le.Uint64(src[8*i:]) }
+	*m = Metrics{
+		Protocol:          Protocol(word(0)),
+		Ops:               word(1),
+		Elapsed:           sim.Time(word(2)),
+		Throughput:        math.Float64frombits(word(3)),
+		AvgMissLatency:    math.Float64frombits(word(4)),
+		Utilization:       math.Float64frombits(word(5)),
+		BroadcastFraction: math.Float64frombits(word(6)),
+		Retries:           word(7),
+		Nacks:             word(8),
+		BytesPerOp:        math.Float64frombits(word(9)),
+		ControlBytesPerOp: math.Float64frombits(word(10)),
+	}
+	return nil
 }
 
 // String renders a compact single-line summary.

@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/cellstore"
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/network"
@@ -144,5 +147,53 @@ func TestMetricsString(t *testing.T) {
 	s := m.String()
 	if !strings.Contains(s, "BASH") || !strings.Contains(s, "ops/ns") {
 		t.Fatalf("summary %q", s)
+	}
+}
+
+// TestMetricsCellRecordBitExact: Metrics goes through a cell store's Put
+// and Get bit for bit — a NaN payload, -0, ±Inf and all-ones counters
+// included, which an == comparison could not tell apart — its record is
+// the fixed 88 bytes, and any other length is refused.
+func TestMetricsCellRecordBitExact(t *testing.T) {
+	in := core.Metrics{
+		Protocol:          core.Protocol(-1),
+		Ops:               math.MaxUint64,
+		Elapsed:           math.MinInt64,
+		Throughput:        math.Float64frombits(0x7ff8_0000_dead_beef), // NaN with a payload
+		AvgMissLatency:    math.Copysign(0, -1),
+		Utilization:       math.Inf(1),
+		BroadcastFraction: math.Inf(-1),
+		Retries:           math.MaxUint64,
+		Nacks:             math.MaxUint64 - 1,
+		BytesPerOp:        math.NaN(),
+		ControlBytesPerOp: math.SmallestNonzeroFloat64,
+	}
+	st, err := cellstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("k", in); err != nil {
+		t.Fatal(err)
+	}
+	var out core.Metrics
+	if !st.Get("k", &out) {
+		t.Fatal("miss after Put")
+	}
+	want, _ := in.AppendCell(nil)
+	got, _ := out.AppendCell(nil)
+	if len(want) != 88 || !bytes.Equal(got, want) {
+		t.Fatalf("record changed in the round trip:\n got  %x\n want %x", got, want)
+	}
+	if !math.Signbit(out.AvgMissLatency) || out.AvgMissLatency != 0 {
+		t.Errorf("-0 came back as %v", out.AvgMissLatency)
+	}
+	if out.Ops != math.MaxUint64 || out.Retries != math.MaxUint64 || out.Protocol != core.Protocol(-1) || out.Elapsed != math.MinInt64 {
+		t.Errorf("integer fields mangled: %+v", out)
+	}
+	for _, n := range []int{0, 87, 89} {
+		rec := make([]byte, n)
+		if err := out.DecodeCell(rec); err == nil {
+			t.Errorf("a %d-byte record decoded", n)
+		}
 	}
 }

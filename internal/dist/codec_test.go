@@ -149,7 +149,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	})
 
 	t.Run("cell", func(t *testing.T) {
-		found := fetchResponse{Found: true, Raw: []byte("gob envelope bytes")}
+		found := fetchResponse{Found: true, Raw: []byte("cell entry bytes")}
 		got, err := parseCell(appendCell(nil, found))
 		if err != nil || !reflect.DeepEqual(got, found) {
 			t.Fatalf("found: got %+v, %v", got, err)

@@ -181,7 +181,7 @@ func (c *Coordinator) annotateHints(worker string, jobs []leasedJob) {
 
 // fetchRPC answers one FETCH: the coordinator's own store first, then each
 // advertised holder in freshness order via a relay down its live wire
-// connection. Relayed entries are verified (envelope + key, so a confused
+// connection. Relayed entries are verified (header + key, so a confused
 // holder cannot poison anyone) and written through to the coordinator's
 // store when it has one — the next cold worker asking for the same cell is
 // served locally. A fetch that finds nothing counts as a false positive:

@@ -6,11 +6,14 @@ package dist
 // connection, the false-positive fallback, and indicator lifetime (bound
 // to the advertising connection). Where a store is needed the
 // tests use real cellstore directories — the exchange's fail-closed
-// verification is exactly the envelope check these produce.
+// verification is exactly the header check these produce.
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -180,6 +183,21 @@ func TestHoldersFreshestFirst(t *testing.T) {
 type cellPayload struct {
 	Name string
 	X    float64
+}
+
+// AppendCell and DecodeCell give cellPayload a store record: X's bits,
+// then Name.
+func (p cellPayload) AppendCell(dst []byte) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.X))
+	return append(dst, p.Name...), nil
+}
+
+func (p *cellPayload) DecodeCell(src []byte) error {
+	if len(src) < 8 {
+		return errors.New("short cellPayload record")
+	}
+	*p = cellPayload{X: math.Float64frombits(binary.LittleEndian.Uint64(src)), Name: string(src[8:])}
+	return nil
 }
 
 // storeWith creates a cell store in a temp dir holding the given keys.

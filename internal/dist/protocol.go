@@ -66,7 +66,7 @@
 // hinted cell a worker issues a FETCH; the coordinator serves it from its
 // own store (CacheDir) or relays the FETCH down an advertised holder's live
 // wire connection, streaming the raw entry bytes back as a CELL frame. The
-// requester verifies the entry — envelope format and exact key, which
+// requester verifies the entry — header format and exact key, which
 // embeds the binary fingerprint — before installing and using it
 // (cellstore.DecodeRaw, fail closed), so an indicator false positive, a
 // stale advert, or a hostile peer degrades to the pre-exchange behavior

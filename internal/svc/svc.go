@@ -388,8 +388,14 @@ func (s *Service) scheduleLocked() {
 // priority and records its artifacts. The TSV bytes are assembled exactly
 // as the CLI writes them — one Fprintln per artifact — so a service-run
 // sweep's result.tsv is byte-identical to a serial `bashsim -exp` run.
+//
+// The sweep's start and completion lines are logged here, outside s.mu: the
+// completion line before the slot is freed, and the start line by the
+// goroutine the freed slot starts, so with one slot the log lists sweeps
+// in the order they ran.
 func (s *Service) runSweep(sw *sweep, ctx context.Context) {
 	defer s.wg.Done()
+	s.logf("svc: started sweep %s: %s -scale %s (priority %d)", sw.id, sw.exp, sw.scaleName, sw.priority)
 	o := s.opt.Experiments
 	o.Scale = sw.scale
 	if len(sw.seeds) > 0 {
@@ -430,14 +436,16 @@ func (s *Service) runSweep(sw *sweep, ctx context.Context) {
 		sw.errText = runErr.Error()
 	}
 	state, dur := sw.state, sw.finished.Sub(sw.started)
-	s.active--
-	s.scheduleLocked()
 	s.mu.Unlock()
 	if runErr != nil {
 		s.logf("svc: sweep %s (%s) %s after %.1fs: %v", sw.id, sw.exp, state, dur.Seconds(), runErr)
 	} else {
 		s.logf("svc: sweep %s (%s) %s in %.1fs", sw.id, sw.exp, state, dur.Seconds())
 	}
+	s.mu.Lock()
+	s.active--
+	s.scheduleLocked()
+	s.mu.Unlock()
 }
 
 // observeProgress folds one runner progress callback into the sweep's

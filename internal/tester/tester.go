@@ -8,6 +8,9 @@
 package tester
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -101,6 +104,32 @@ func (r Report) Summary() string {
 		fmt.Fprintf(&b, "  no violations detected\n")
 	}
 	return b.String()
+}
+
+// AppendCell appends r's cell-store record: a gob stream of the Report.
+// Tester trials are off every benchmarked path, so gob's per-stream cost
+// buys a record that follows the struct without a hand-written codec.
+func (r Report) AppendCell(dst []byte) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	if err := gob.NewEncoder(buf).Encode(r); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeCell sets r from a record written by AppendCell, refusing trailing
+// bytes.
+func (r *Report) DecodeCell(src []byte) error {
+	rd := bytes.NewReader(src)
+	var rep Report
+	if err := gob.NewDecoder(rd).Decode(&rep); err != nil {
+		return err
+	}
+	if rd.Len() != 0 {
+		return errors.New("tester: trailing bytes after report record")
+	}
+	*r = rep
+	return nil
 }
 
 // randomWL is the action/check workload: random load/store pairs over a
