@@ -180,6 +180,13 @@ func BenchmarkAblation(b *testing.B) { benchExperiment(b, "ablation") }
 // directory maps, histograms and an adaptive unit — all of which a pooled
 // lease retains. Results are byte-identical either way (the determinism
 // tests assert it); run with -benchmem to see the allocation gap.
+//
+// The fresh and pooled cells preheat with a PreheatOwned loop after the
+// lease, so every pooled lease clears the previous run and installs the
+// warm set again. The pooled-preheat cells pass the warm set as
+// Config.Preheat instead, so each lease after the first rolls back what
+// the previous run touched: locking is the same cell as pooled, and oltp
+// has a 16,384-block warm set.
 func BenchmarkSystemReuse(b *testing.B) {
 	const nodes = 16
 	cfg := bashsim.Config{
@@ -213,6 +220,24 @@ func BenchmarkSystemReuse(b *testing.B) {
 			pool.Put(sys)
 		}
 	})
+	preheated := func(b *testing.B, gen bashsim.WorkloadGenerator) {
+		c := cfg
+		c.Preheat = gen.WarmBlocks()
+		pool := bashsim.NewSystemPool()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sys := pool.Get(c)
+			sys.AttachWorkload(func(bashsim.NodeID) bashsim.Workload { return gen })
+			if m := sys.Measure(200, 600); m.Ops == 0 {
+				b.Fatal("cell measured no operations")
+			}
+			pool.Put(sys)
+		}
+	}
+	b.Run("pooled-preheat/locking", func(b *testing.B) {
+		preheated(b, bashsim.NewLockingWorkload(128*nodes, 0))
+	})
+	b.Run("pooled-preheat/oltp", func(b *testing.B) { preheated(b, bashsim.OLTP()) })
 }
 
 // BenchmarkSteadyStateOps measures the per-operation cost of a *warmed*

@@ -66,6 +66,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/cellstore"
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/experiments"
@@ -737,34 +738,30 @@ func singleRun(protoName string, nodes int, bandwidth, bcost float64, wlName str
 		fmt.Fprintf(os.Stderr, "bashsim: unknown protocol %q\n", protoName)
 		os.Exit(2)
 	}
-	sys := core.NewSystem(core.Config{
-		Protocol:         p,
-		Nodes:            nodes,
-		BandwidthMBs:     bandwidth,
-		BroadcastCost:    bcost,
-		WatchdogInterval: 2_000_000_000,
-	})
 	var wl core.Workload
+	var warmSet []coherence.Addr
 	if strings.EqualFold(wlName, "locking") {
 		lk := workload.NewLocking(128*nodes, 0)
 		if think > 0 {
 			lk.ThinkTime = sim.Time(think)
 		}
-		for i, a := range lk.WarmBlocks() {
-			sys.PreheatOwned(a, network.NodeID(i%nodes), uint64(i)+1)
-		}
-		wl = lk
+		wl, warmSet = lk, lk.WarmBlocks()
 	} else {
 		w := workload.ByName(wlName)
 		if w == nil {
 			fmt.Fprintf(os.Stderr, "bashsim: unknown workload %q\n", wlName)
 			os.Exit(2)
 		}
-		for i, a := range w.WarmBlocks() {
-			sys.PreheatOwned(a, network.NodeID(i%nodes), uint64(i)+1)
-		}
-		wl = w
+		wl, warmSet = w, w.WarmBlocks()
 	}
+	sys := core.NewSystem(core.Config{
+		Protocol:         p,
+		Nodes:            nodes,
+		BandwidthMBs:     bandwidth,
+		BroadcastCost:    bcost,
+		WatchdogInterval: 2_000_000_000,
+		Preheat:          warmSet,
+	})
 	sys.AttachWorkload(func(network.NodeID) core.Workload { return wl })
 	warm := ops / 4
 	m := sys.Measure(warm, ops)

@@ -74,6 +74,17 @@
 // an error (leaving the System untouched) for structurally incompatible
 // configs; Pool.Get transparently builds a fresh System instead.
 //
+// The warm set is per-run state too. Config.Preheat lists the blocks a run
+// starts with, block i Modified at node i % Nodes (what a PreheatOwned
+// loop installs), and NewSystem and Reset install it and checkpoint. From
+// then on the line tables, directory tables and cache arrays log the
+// checkpoint value of each record and set the run first touches. A Reset
+// whose Preheat repeats the installed list replays that log instead of
+// clearing and installing again, so a sweep that runs one workload across
+// bandwidths or broadcast costs pays per lease for the blocks each run
+// touched, not for the thousands it preheats. Either way a leased System
+// equals a fresh one built with the same Config.
+//
 // # The allocation lifecycle contract
 //
 // Who may hold what, after the free lists are in play:
@@ -292,15 +303,13 @@
 //
 // Quick start:
 //
+//	lk := bashsim.NewLockingWorkload(2048, 0)
 //	sys := bashsim.NewSystem(bashsim.Config{
 //		Protocol:     bashsim.BASH,
 //		Nodes:        16,
 //		BandwidthMBs: 1600,
+//		Preheat:      lk.WarmBlocks(), // block i Modified at node i%16
 //	})
-//	lk := bashsim.NewLockingWorkload(2048, 0)
-//	for i, a := range lk.WarmBlocks() {
-//		sys.PreheatOwned(a, bashsim.NodeID(i%16), uint64(i)+1)
-//	}
 //	sys.AttachWorkload(func(bashsim.NodeID) bashsim.Workload { return lk })
 //	m := sys.Measure(1000, 5000)
 //	fmt.Println(m)

@@ -25,15 +25,13 @@ func main() {
 	for _, bw := range bandwidths {
 		fmt.Printf("%-10.0f", bw)
 		for _, p := range protocols {
+			lk := bashsim.NewLockingWorkload(128*nodes, 0)
 			sys := bashsim.NewSystem(bashsim.Config{
 				Protocol:     p,
 				Nodes:        nodes,
 				BandwidthMBs: bw,
+				Preheat:      lk.WarmBlocks(),
 			})
-			lk := bashsim.NewLockingWorkload(128*nodes, 0)
-			for i, a := range lk.WarmBlocks() {
-				sys.PreheatOwned(a, bashsim.NodeID(i%nodes), uint64(i)+1)
-			}
 			sys.AttachWorkload(func(bashsim.NodeID) bashsim.Workload { return lk })
 			m := sys.Measure(1000, 5000)
 			fmt.Printf("%12.4f", m.Throughput)

@@ -11,18 +11,16 @@ import (
 
 func main() {
 	const nodes = 16
+	// The locking microbenchmark: every acquire is a cache-to-cache
+	// transfer once lock ownership is spread across the machine, so the
+	// system starts with lock i owned (Modified) by processor i % 16.
+	lk := bashsim.NewLockingWorkload(128*nodes, 0)
 	sys := bashsim.NewSystem(bashsim.Config{
 		Protocol:     bashsim.BASH,
 		Nodes:        nodes,
 		BandwidthMBs: 1600, // the paper's per-processor endpoint bandwidth
+		Preheat:      lk.WarmBlocks(),
 	})
-
-	// The locking microbenchmark: every acquire is a cache-to-cache
-	// transfer once lock ownership is spread across the machine.
-	lk := bashsim.NewLockingWorkload(128*nodes, 0)
-	for i, a := range lk.WarmBlocks() {
-		sys.PreheatOwned(a, bashsim.NodeID(i%nodes), uint64(i)+1)
-	}
 	sys.AttachWorkload(func(bashsim.NodeID) bashsim.Workload { return lk })
 
 	m := sys.Measure(2000, 10000)

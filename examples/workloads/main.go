@@ -25,16 +25,14 @@ func main() {
 	for _, name := range names {
 		var thr [3]float64
 		for i, p := range protocols {
+			wl := bashsim.WorkloadByName(name)
 			sys := bashsim.NewSystem(bashsim.Config{
 				Protocol:      p,
 				Nodes:         nodes,
 				BandwidthMBs:  1600,
 				BroadcastCost: 4,
+				Preheat:       wl.WarmBlocks(),
 			})
-			wl := bashsim.WorkloadByName(name)
-			for j, a := range wl.WarmBlocks() {
-				sys.PreheatOwned(a, bashsim.NodeID(j%nodes), uint64(j)+1)
-			}
 			sys.AttachWorkload(func(bashsim.NodeID) bashsim.Workload { return wl })
 			thr[i] = sys.Measure(1000, 5000).Throughput
 		}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -188,6 +189,62 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 		reused.Reset()
 		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRollbackMatchesCheckpoint: after Checkpoint, any sequence of inserts,
+// touches and removes followed by Rollback leaves the array exactly as it
+// was at the checkpoint (ways, LRU stamps, clock, size), it then behaves
+// like a fresh array given the same installs, rolling back again works,
+// and Reset still clears the sets installed before the checkpoint.
+func TestRollbackMatchesCheckpoint(t *testing.T) {
+	cfg := Config{Sets: 100, Ways: 2}
+	pinOdd := func(a Addr) bool { return a%7 == 1 }
+	replay := func(a *Array, ops []uint16) []uint64 {
+		var out []uint64
+		for _, op := range ops {
+			addr := Addr(op % 512)
+			switch op >> 14 {
+			case 0:
+				victim, ev, ok := a.Insert(addr, pinOdd)
+				out = append(out, uint64(victim), b2u(ev), b2u(ok))
+			case 1:
+				out = append(out, b2u(a.Touch(addr)))
+			case 2:
+				out = append(out, b2u(a.Remove(addr)))
+			default:
+				out = append(out, b2u(a.Contains(addr)))
+			}
+			out = append(out, uint64(a.Len()))
+		}
+		return out
+	}
+	reused := New(cfg)
+	f := func(install, first, second []uint16) bool {
+		reused.Reset()
+		replay(reused, install)
+		want := reused.Snapshot()
+		reused.Checkpoint()
+		replay(reused, first)
+		reused.Rollback()
+		if got := reused.Snapshot(); got != want {
+			t.Logf("after rollback:\n%s\nwant:\n%s", got, want)
+			return false
+		}
+		fresh := New(cfg)
+		replay(fresh, install)
+		if !slices.Equal(replay(reused, second), replay(fresh, second)) {
+			return false
+		}
+		reused.Rollback()
+		if reused.Snapshot() != want {
+			return false
+		}
+		reused.Reset()
+		return reused.Snapshot() == New(cfg).Snapshot()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -71,6 +71,17 @@ func (b *BashCache) Reset() {
 	}
 }
 
+// Rollback is ctrlCore.Rollback, and resets the predictor as Reset does.
+func (b *BashCache) Rollback() bool {
+	if !b.ctrlCore.Rollback() {
+		return false
+	}
+	if b.pred != nil {
+		b.pred.Reset()
+	}
+	return true
+}
+
 func bashCacheTable() *Table {
 	t := NewTable("bash-cache")
 	type se struct {
@@ -177,7 +188,7 @@ func (b *BashCache) OnOrdered(m *network.Message) {
 		// cheap approximation of it otherwise.
 		b.pred.Learn(pkt.Addr, pkt.Requestor)
 	}
-	l := b.lines.get(pkt.Addr)
+	l := b.lookup(pkt.Addr)
 	if l == nil {
 		return
 	}
@@ -185,7 +196,7 @@ func (b *BashCache) OnOrdered(m *network.Message) {
 }
 
 func (b *BashCache) ownInstance(seq uint64, pkt *Packet) {
-	l := b.lines.get(pkt.Addr)
+	l := b.lookup(pkt.Addr)
 	if l == nil || l.txn == nil || l.txn.id != pkt.TxnID {
 		// An instance of a transaction that already completed: a retry that
 		// was raced by the sufficient instance. Ignore it.
@@ -292,7 +303,7 @@ func (b *BashCache) ownerForeign(l *line, seq uint64, pkt *Packet, ev Event) {
 
 // OnUnordered receives Data, Ack and Nack responses.
 func (b *BashCache) OnUnordered(pkt *Packet) {
-	l := b.lines.get(pkt.Addr)
+	l := b.lookup(pkt.Addr)
 	if l == nil || l.txn == nil || l.txn.id != pkt.TxnID {
 		b.stats.StaleDataDropped++
 		return
@@ -425,6 +436,28 @@ func (m *BashMem) Table() *Table { return m.tbl }
 // retained.
 func (m *BashMem) Reset() {
 	m.dir.reset()
+	m.resetRun()
+}
+
+// Snapshot renders the home-side block table in address order, for tests
+// that compare two controllers' states.
+func (m *BashMem) Snapshot() string { return m.dir.snapshot() }
+
+// Checkpoint makes the current home-side block state the state Rollback
+// returns to.
+func (m *BashMem) Checkpoint() { m.dir.blocks.checkpoint() }
+
+// Rollback is Reset, but returns the block table to its state at the last
+// Checkpoint; see dirState.rollback.
+func (m *BashMem) Rollback() bool {
+	if !m.dir.rollback() {
+		return false
+	}
+	m.resetRun()
+	return true
+}
+
+func (m *BashMem) resetRun() {
 	clear(m.retries)
 	m.stats = BashMemStats{}
 	m.tbl.ResetCoverage()

@@ -148,3 +148,39 @@ func TestBlockTableWrapShift(t *testing.T) {
 		t.Fatalf("delete did not shift back across the wrap: tags %v", tbl.tags)
 	}
 }
+
+// TestBlockTableUndoLog: after checkpoint a put of an absent key is logged
+// once per put, a put replacing a present key is not, and the table stops
+// logging, so that rewind refuses, once more keys were added than the
+// bound allows.
+func TestBlockTableUndoLog(t *testing.T) {
+	var tbl blockTable[int]
+	v := 1
+	for a := Addr(0); a < 300; a++ {
+		tbl.put(a, &v)
+	}
+	tbl.checkpoint()
+	tbl.put(7, &v) // present: not logged
+	tbl.put(1000, &v)
+	tbl.del(1000)
+	tbl.put(1000, &v)
+	tbl.save(8, tbl.get(8))
+	added, saved, ok := tbl.rewind()
+	if !ok || len(added) != 2 || added[0] != 1000 || added[1] != 1000 || len(saved) != 1 || saved[0].addr != 8 {
+		t.Fatalf("rewind = %v, %v, %t; want [1000 1000], one saved record for 8, true", added, saved, ok)
+	}
+
+	tbl.checkpoint()
+	bound := max(minAdded, 4*tbl.n)
+	puts := 0
+	for a := Addr(2000); tbl.logging; a++ {
+		tbl.put(a, &v)
+		puts++
+	}
+	if puts != bound+1 {
+		t.Fatalf("logging stopped after %d added keys, want %d", puts-1, bound)
+	}
+	if _, _, ok := tbl.rewind(); ok {
+		t.Fatal("rewind accepted an overflowed log")
+	}
+}

@@ -158,3 +158,5 @@ func (f fakeCache) Table() *Table                      { return NewTable("fake")
 func (f fakeCache) Preheat(Addr, State, uint64)        {}
 func (f fakeCache) LatencyHistogram() *stats.Histogram { return stats.NewLatencyHistogram() }
 func (f fakeCache) Reset()                             {}
+func (f fakeCache) Checkpoint()                        {}
+func (f fakeCache) Rollback() bool                     { return false }

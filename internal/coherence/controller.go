@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/network"
@@ -41,8 +42,11 @@ type deferredMsg struct {
 // line is the controller's per-block record. Blocks in state I with no
 // transaction and no deferred work are removed from the line table.
 type line struct {
-	addr     Addr
-	state    State
+	addr  Addr
+	state State
+	// logged marks a record whose checkpoint value is already in the line
+	// table's undo log (or that did not exist at the checkpoint).
+	logged   bool
 	value    uint64
 	sharers  network.Mask // BASH owner-side sharer tracking (footnote 2)
 	txn      *txn
@@ -133,29 +137,101 @@ func (c *ctrlCore) init(env Env, ops protoOps, tbl *Table, arrayCfg cache.Config
 // lists are dropped for the garbage collector, never recycled — the same
 // packet may be parked at several nodes. The environment — kernel,
 // network, identity, checker, progress hook — is structural and survives
-// unchanged.
+// unchanged. Reset walks every live record and ends any checkpoint.
 func (c *ctrlCore) Reset() {
 	rec := c.env.Recycler
 	for _, l := range c.lines.vals {
 		if l == nil {
 			continue
 		}
-		if l.txn != nil {
-			rec.putTxn(l.txn)
-			l.txn = nil
-		}
+		c.dropTxn(l)
 		rec.putLine(l)
 	}
-	for _, q := range c.pended {
-		rec.putPendQueue(q)
-	}
 	c.lines.clear()
-	clear(c.pended)
 	c.array.Reset()
+	c.resetRun()
+}
+
+// Checkpoint makes the current block state — line records and cache
+// array — the state Rollback returns to, and starts logging the first
+// change of each record and set.
+func (c *ctrlCore) Checkpoint() {
+	c.lines.checkpoint()
+	c.array.Checkpoint()
+}
+
+// Rollback returns the controller to its state at the last Checkpoint, as
+// Reset followed by re-installing that state would, in time proportional
+// to the records and sets the run touched. In-flight transactions recycle
+// and parked packets are dropped as in Reset. It reports false, changing
+// nothing, when there is no checkpoint to return to (none was taken, Reset
+// ended it, or the run outgrew the undo log); the caller must then Reset.
+func (c *ctrlCore) Rollback() bool {
+	added, saved, ok := c.lines.rewind()
+	if !ok {
+		return false
+	}
+	rec := c.env.Recycler
+	for _, a := range added {
+		if l := c.lines.get(a); l != nil {
+			c.dropTxn(l)
+			c.lines.del(a)
+			rec.putLine(l)
+		}
+	}
+	for i := range saved {
+		s := &saved[i]
+		l := c.lines.get(s.addr)
+		if l == nil {
+			l = rec.getLine(s.addr, c.deferCap)
+			c.lines.put(s.addr, l)
+		}
+		c.dropTxn(l)
+		deferred := l.deferred
+		clear(deferred)
+		*l = s.val
+		l.deferred = deferred[:0]
+	}
+	c.lines.checkpoint()
+	c.array.Rollback()
+	c.resetRun()
+	return true
+}
+
+// dropTxn recycles l's transaction, if any.
+func (c *ctrlCore) dropTxn(l *line) {
+	if l.txn != nil {
+		c.env.Recycler.putTxn(l.txn)
+		l.txn = nil
+	}
+}
+
+// resetRun clears the per-run state Reset and Rollback share: pended
+// queues, the latency histogram, coverage, the transaction counter and
+// statistics.
+func (c *ctrlCore) resetRun() {
+	for _, q := range c.pended {
+		c.env.Recycler.putPendQueue(q)
+	}
+	clear(c.pended)
 	c.latHist.Reset()
 	c.tbl.ResetCoverage()
 	c.nextTxn = 0
 	c.stats = CacheStats{}
+}
+
+// Snapshot renders the controller's block state — every line record in
+// address order, then the cache array — for tests that compare two
+// controllers' states.
+func (c *ctrlCore) Snapshot() string {
+	var b strings.Builder
+	for _, a := range sortedKeys(&c.lines) {
+		l := c.lines.get(a)
+		fmt.Fprintf(&b, "line %d: %s value %d sharers %s txn %t deferred %d\n",
+			a, l.state, l.value, l.sharers, l.txn != nil, len(l.deferred))
+	}
+	b.WriteString(c.array.Snapshot())
+	return b.String()
 }
 
 // LatencyHistogram exposes the demand-miss latency distribution.
@@ -183,11 +259,24 @@ func (c *ctrlCore) ValueOf(a Addr) uint64 {
 	return 0
 }
 
+// lookup returns the record for addr, or nil, for a caller that may
+// change it: while the line table is logging, the record's checkpoint
+// value is saved on its first lookup since the checkpoint.
+func (c *ctrlCore) lookup(addr Addr) *line {
+	l := c.lines.get(addr)
+	if l != nil && c.lines.logging && !l.logged {
+		c.lines.save(addr, l)
+		l.logged = true
+	}
+	return l
+}
+
 // line returns the record for addr, materializing an Invalid one.
 func (c *ctrlCore) line(addr Addr) *line {
-	l := c.lines.get(addr)
+	l := c.lookup(addr)
 	if l == nil {
 		l = c.env.Recycler.getLine(addr, c.deferCap)
+		l.logged = c.lines.logging
 		c.lines.put(addr, l)
 	}
 	return l

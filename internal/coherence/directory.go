@@ -114,7 +114,7 @@ func (d *DirCache) OnOrdered(m *network.Message) {
 		return
 	}
 	if pkt.Owner == d.env.Self && pkt.Requestor != d.env.Self {
-		l := d.lines.get(pkt.Addr)
+		l := d.lookup(pkt.Addr)
 		if l == nil {
 			panic(fmt.Sprintf("directory: forward to owner with no line: self=%d pkt=%v owner=%d seq=%d", d.env.Self, pkt, pkt.Owner, m.Seq))
 		}
@@ -126,7 +126,7 @@ func (d *DirCache) OnOrdered(m *network.Message) {
 		return
 	}
 	// Invalidation (or forward multicast copy) addressed to a sharer.
-	l := d.lines.get(pkt.Addr)
+	l := d.lookup(pkt.Addr)
 	if l == nil {
 		return // stale superset membership, no copy
 	}
@@ -136,7 +136,7 @@ func (d *DirCache) OnOrdered(m *network.Message) {
 // marker processes the ordered message that fixes this requestor's place in
 // the total order.
 func (d *DirCache) marker(seq uint64, pkt *Packet) {
-	l := d.lines.get(pkt.Addr)
+	l := d.lookup(pkt.Addr)
 	if l == nil || l.txn == nil || l.txn.id != pkt.TxnID {
 		panic("directory: marker without matching transaction")
 	}
@@ -267,7 +267,7 @@ func (d *DirCache) shInval(l *line, seq uint64, pkt *Packet) {
 }
 
 func (d *DirCache) wbResolution(seq uint64, pkt *Packet) {
-	l := d.lines.get(pkt.Addr)
+	l := d.lookup(pkt.Addr)
 	if l == nil || l.txn == nil || !l.txn.isWB {
 		panic("directory: writeback resolution without WB transaction")
 	}
@@ -294,7 +294,7 @@ func (d *DirCache) OnUnordered(pkt *Packet) {
 	if pkt.Kind != Data {
 		panic(fmt.Sprintf("directory cache: unexpected %s", pkt.Kind))
 	}
-	l := d.lines.get(pkt.Addr)
+	l := d.lookup(pkt.Addr)
 	if l == nil || l.txn == nil || l.txn.id != pkt.TxnID {
 		d.stats.StaleDataDropped++
 		return
@@ -390,6 +390,24 @@ func (m *DirMem) Table() *Table { return m.tbl }
 func (m *DirMem) Reset() {
 	m.dir.reset()
 	m.tbl.ResetCoverage()
+}
+
+// Snapshot renders the home-side block table in address order, for tests
+// that compare two controllers' states.
+func (m *DirMem) Snapshot() string { return m.dir.snapshot() }
+
+// Checkpoint makes the current home-side block state the state Rollback
+// returns to.
+func (m *DirMem) Checkpoint() { m.dir.blocks.checkpoint() }
+
+// Rollback is Reset, but returns the block table to its state at the last
+// Checkpoint; see dirState.rollback.
+func (m *DirMem) Rollback() bool {
+	if !m.dir.rollback() {
+		return false
+	}
+	m.tbl.ResetCoverage()
+	return true
 }
 
 // Preheat installs home state for warm-started workloads.

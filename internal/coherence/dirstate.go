@@ -1,6 +1,11 @@
 package coherence
 
-import "repro/internal/network"
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/network"
+)
 
 // memWait is one unit of same-block work parked while a writeback is in
 // flight (state == MemWB): the ordered sequence (zero for the directory
@@ -18,7 +23,10 @@ type memWait struct {
 // state alone and ignored. Directory and BASH additionally keep the sharer
 // superset.
 type dirEntry struct {
-	state   MemState
+	state MemState
+	// logged marks an entry whose checkpoint value is already in the
+	// block table's undo log (or that did not exist at the checkpoint).
+	logged  bool
 	owner   network.NodeID // valid when state == CacheOwner
 	sharers network.Mask   // superset of S copies, excluding the owner
 	value   uint64         // memory's copy of the data token (verification)
@@ -46,7 +54,7 @@ func newDirState(rec *Recycler) *dirState {
 // reset returns every block to clean-at-memory, keeping the table's slot
 // arrays and draining the live entries into the recycler (waiting-slice
 // capacity retained, parked packets dropped to the GC) so the next run
-// materializes its working set without allocating.
+// materializes its working set without allocating. It ends any checkpoint.
 func (d *dirState) reset() {
 	for _, e := range d.blocks.vals {
 		if e != nil {
@@ -56,12 +64,49 @@ func (d *dirState) reset() {
 	d.blocks.clear()
 }
 
-// entry returns the entry for addr, materializing the default.
+// rollback returns the block table to its state at the last checkpoint by
+// replaying its undo log, dropping parked packets as reset does, and
+// checkpoints again. It reports false, changing nothing, when the table
+// holds no checkpoint; the caller must then reset.
+func (d *dirState) rollback() bool {
+	added, saved, ok := d.blocks.rewind()
+	if !ok {
+		return false
+	}
+	for _, a := range added {
+		if e := d.blocks.get(a); e != nil {
+			d.blocks.del(a)
+			d.rec.putDirEntry(e)
+		}
+	}
+	for i := range saved {
+		s := &saved[i]
+		e := d.blocks.get(s.addr)
+		if e == nil {
+			e = d.rec.getDirEntry()
+			d.blocks.put(s.addr, e)
+		}
+		waiting := e.waiting
+		clear(waiting)
+		*e = s.val
+		e.waiting = waiting[:0]
+	}
+	d.blocks.checkpoint()
+	return true
+}
+
+// entry returns the entry for addr, materializing the default. While the
+// table is logging, the entry's checkpoint value is saved on its first
+// lookup since the checkpoint.
 func (d *dirState) entry(addr Addr) *dirEntry {
 	e := d.blocks.get(addr)
 	if e == nil {
 		e = d.rec.getDirEntry()
+		e.logged = d.blocks.logging
 		d.blocks.put(addr, e)
+	} else if d.blocks.logging && !e.logged {
+		d.blocks.save(addr, e)
+		e.logged = true
 	}
 	return e
 }
@@ -109,4 +154,16 @@ func (d *dirState) homeValue(addr Addr) (uint64, bool) {
 		return 0, true
 	}
 	return e.value, e.state == MemOwner
+}
+
+// snapshot renders every entry in address order (see Snapshot on the
+// memory controllers).
+func (d *dirState) snapshot() string {
+	var b strings.Builder
+	for _, a := range sortedKeys(&d.blocks) {
+		e := d.blocks.get(a)
+		fmt.Fprintf(&b, "dir %d: %s owner %d sharers %s value %d wbFrom %d waiting %d\n",
+			a, e.state, e.owner, e.sharers, e.value, e.wbFrom, len(e.waiting))
+	}
+	return b.String()
 }

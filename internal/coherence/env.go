@@ -96,6 +96,13 @@ type CacheController interface {
 	// Reset returns the controller to its freshly constructed state for a
 	// new run, retaining grown allocations (pooled-lifecycle support).
 	Reset()
+	// Checkpoint makes the current block state the state Rollback returns
+	// to; Reset ends the checkpoint.
+	Checkpoint()
+	// Rollback is Reset followed by re-installing the checkpoint's block
+	// state, in time proportional to what the run touched. It reports
+	// false, changing nothing, when there is no checkpoint to return to.
+	Rollback() bool
 }
 
 // MemController is the memory/directory side of a node.
@@ -105,6 +112,9 @@ type MemController interface {
 	Table() *Table
 	// Reset clears per-run home-side state (pooled-lifecycle support).
 	Reset()
+	// Checkpoint and Rollback are as for CacheController.
+	Checkpoint()
+	Rollback() bool
 	// Preheat installs home-side state (owner, value) without traffic.
 	Preheat(a Addr, owner network.NodeID, value uint64)
 	// HomeValue reports the memory copy of a block and whether memory is

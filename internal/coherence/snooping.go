@@ -124,7 +124,7 @@ func (s *SnoopCache) OnOrdered(m *network.Message) {
 		s.ownReq(m.Seq, pkt)
 		return
 	}
-	l := s.lines.get(pkt.Addr)
+	l := s.lookup(pkt.Addr)
 	if l == nil {
 		return // no copy, no transaction: nothing to snoop
 	}
@@ -132,7 +132,7 @@ func (s *SnoopCache) OnOrdered(m *network.Message) {
 }
 
 func (s *SnoopCache) ownReq(seq uint64, pkt *Packet) {
-	l := s.lines.get(pkt.Addr)
+	l := s.lookup(pkt.Addr)
 	if l == nil || l.txn == nil || l.txn.id != pkt.TxnID {
 		panic("snooping: own request without matching transaction")
 	}
@@ -245,7 +245,7 @@ func (s *SnoopCache) OnUnordered(pkt *Packet) {
 	if pkt.Kind != Data {
 		panic(fmt.Sprintf("snooping cache: unexpected %s", pkt.Kind))
 	}
-	l := s.lines.get(pkt.Addr)
+	l := s.lookup(pkt.Addr)
 	if l == nil || l.txn == nil || l.txn.id != pkt.TxnID {
 		// Redundant data for an upgrade that completed at its marker.
 		s.stats.StaleDataDropped++
@@ -314,6 +314,24 @@ func (m *SnoopMem) Table() *Table { return m.tbl }
 func (m *SnoopMem) Reset() {
 	m.dir.reset()
 	m.tbl.ResetCoverage()
+}
+
+// Snapshot renders the home-side block table in address order, for tests
+// that compare two controllers' states.
+func (m *SnoopMem) Snapshot() string { return m.dir.snapshot() }
+
+// Checkpoint makes the current home-side block state the state Rollback
+// returns to.
+func (m *SnoopMem) Checkpoint() { m.dir.blocks.checkpoint() }
+
+// Rollback is Reset, but returns the block table to its state at the last
+// Checkpoint; see dirState.rollback.
+func (m *SnoopMem) Rollback() bool {
+	if !m.dir.rollback() {
+		return false
+	}
+	m.tbl.ResetCoverage()
+	return true
 }
 
 // OwnerOf exposes the tracked owner (tests and preheating).

@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/workload"
@@ -154,5 +155,98 @@ func TestZeroSteadyStateAllocsPooledReuse(t *testing.T) {
 	// The NoRecycle escape hatch really does allocate every round.
 	if got := runCell(99, true); got == 0 {
 		t.Error("NoRecycle run reported zero allocations; the escape hatch is not disabling the free lists")
+	}
+}
+
+// lockDriver drives every node of a System through lock acquires without
+// Processors, whose construction in AttachWorkload allocates: each node
+// stores to a fixed stride of warm blocks, issuing its next store from the
+// previous one's completion through callbacks bound once.
+type lockDriver struct {
+	sys   *core.System
+	locks []coherence.Addr
+	next  []int
+	issue []func()
+	done  []func()
+	ops   uint64
+	stop  bool
+}
+
+func newLockDriver(sys *core.System, locks []coherence.Addr) *lockDriver {
+	d := &lockDriver{sys: sys, locks: locks}
+	n := len(sys.Nodes)
+	d.next = make([]int, n)
+	d.issue = make([]func(), n)
+	d.done = make([]func(), n)
+	for i := range sys.Nodes {
+		d.issue[i] = func() {
+			if !d.stop {
+				op := coherence.Op{Store: true, Addr: d.locks[d.next[i]]}
+				d.sys.Nodes[i].Cache.Access(op, d.done[i])
+			}
+		}
+		d.done[i] = func() {
+			d.ops++
+			d.next[i] = (d.next[i] + 7*i + 5) % len(d.locks)
+			d.sys.Kernel.Schedule(3, d.issue[i])
+		}
+	}
+	return d
+}
+
+// run starts every node, stops issuing once ops stores completed and
+// drains the System. A run cut off in flight would leave packets for the
+// next Reset to drop to the garbage collector, and the run after it would
+// allocate their replacements.
+func (d *lockDriver) run(ops uint64) {
+	d.stop = false
+	d.ops = 0
+	for i := range d.next {
+		d.next[i] = 3 * i % len(d.locks)
+		d.issue[i]()
+	}
+	d.sys.Kernel.RunUntil(func() bool { return d.ops >= ops })
+	d.stop = true
+	d.sys.Quiesce()
+}
+
+// TestZeroSteadyStateAllocsRollback: a warmed pooled System leased again
+// with the warm set it already holds rolls back to it and then runs, and
+// the Reset plus the run allocate nothing.
+func TestZeroSteadyStateAllocsRollback(t *testing.T) {
+	for _, p := range []core.Protocol{core.Snooping, core.Directory, core.BASH} {
+		t.Run(p.String(), func(t *testing.T) {
+			lk := workload.NewLocking(256, 0)
+			cfg := core.Config{
+				Protocol:     p,
+				Nodes:        16,
+				BandwidthMBs: 1600,
+				Cache:        cache.Config{Sets: 64, Ways: 4},
+				Seed:         11,
+				Preheat:      lk.WarmBlocks(),
+			}
+			sys := core.NewSystem(cfg)
+			drv := newLockDriver(sys, cfg.Preheat)
+			lease := func() {
+				if err := sys.Reset(cfg); err != nil {
+					t.Fatalf("Reset: %v", err)
+				}
+				drv.run(3000)
+			}
+			zeros := 0
+			for i := 0; i < 25 && zeros < 2; i++ {
+				if testing.AllocsPerRun(1, lease) == 0 {
+					zeros++
+				} else {
+					zeros = 0
+				}
+			}
+			if got := testing.AllocsPerRun(5, lease); got != 0 {
+				t.Errorf("rolled-back %s lease allocates %.2f times per Reset and run, want 0", p, got)
+			}
+			if core.Rollbacks(sys) == 0 {
+				t.Error("no Reset rolled back")
+			}
+		})
 	}
 }

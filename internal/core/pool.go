@@ -14,9 +14,16 @@ import "sync"
 //
 // Get either reuses a compatible pooled System (resetting it for cfg) or
 // builds a fresh one; Put returns a System for reuse. Reset guarantees a
-// leased System is byte-for-byte equivalent to a fresh one, so pooling
+// leased System equals a fresh one built with the same cfg, so pooling
 // never changes results — the determinism tests assert exactly that. A
 // System must not be used after Put.
+//
+// What a lease costs depends on cfg.Preheat. When it equals the warm set
+// the pooled System last installed — consecutive cells of a sweep that
+// runs one workload across bandwidths or broadcast costs — the lease
+// rolls back what the previous run touched and installs nothing. Any other
+// lease clears every record the previous run left and installs cfg's warm
+// set, which costs in proportion to its size.
 //
 // Pool is safe for concurrent use; each leased System remains
 // single-threaded, as all simulations are. The per-bucket free list is

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/adaptive"
 	"repro/internal/cache"
@@ -87,6 +88,13 @@ type Config struct {
 	// switch exists for benchmarking the free lists and for fault
 	// isolation. It is per-run state: Reset may flip it freely.
 	NoRecycle bool
+	// Preheat is the warm set: NewSystem and Reset install block i as
+	// Modified at node i % Nodes with token i+1, exactly as a loop of
+	// PreheatOwned(Preheat[i], i%Nodes, i+1) would. It is per-run state,
+	// not part of the structural key. A Reset whose Preheat equals the
+	// list already installed returns to it by undoing the previous run
+	// instead of clearing and installing again; see Reset.
+	Preheat []coherence.Addr
 }
 
 func (c Config) withDefaults() Config {
@@ -185,10 +193,14 @@ type System struct {
 	Checker  *coherence.Checker
 	Watchdog *sim.Watchdog
 	cfg      Config
-	trace    *Trace
-	traffic  *TrafficStats
-	packets  *coherence.Recycler // shared packet + record free lists
-	totalOps uint64              // running sum of Processor.Completed (hot-path cache)
+	// preheated is a copy of the warm set installed and checkpointed by
+	// the last NewSystem or Reset, or empty when none was.
+	preheated []coherence.Addr
+	rollbacks uint64 // Resets that rolled back (tests)
+	trace     *Trace
+	traffic   *TrafficStats
+	packets   *coherence.Recycler // shared packet + record free lists
+	totalOps  uint64              // running sum of Processor.Completed (hot-path cache)
 }
 
 // Recycler exposes the system's shared free lists (tests and diagnostics:
@@ -294,11 +306,15 @@ func build(cfg Config) *System {
 }
 
 // wire is the seeding phase shared by NewSystem and Reset: it returns every
-// layer to its run-start state and applies cfg's per-run parameters. On a
-// freshly built System the resets are no-ops over empty structures; on a
-// reused one they clear the previous run while retaining every grown
-// allocation (event queue storage, map buckets, materialized cache sets,
-// histogram buckets, predictor tables).
+// layer to its run-start state, applies cfg's per-run parameters and
+// installs cfg.Preheat. On a freshly built System the resets are no-ops
+// over empty structures; on a reused one they clear the previous run while
+// retaining every grown allocation (event queue storage, map buckets,
+// materialized cache sets, histogram buckets, predictor tables).
+//
+// When cfg.Preheat repeats the warm set already installed, the controllers
+// roll back to the checkpoint taken after that install instead of clearing
+// and installing again. Everything else is reset as on the clear path.
 func (s *System) wire(cfg Config) {
 	s.Kernel.Reset()
 	s.Net.Reset(network.Config{
@@ -318,9 +334,22 @@ func (s *System) wire(cfg Config) {
 	if s.Checker != nil {
 		s.Checker.Reset()
 	}
+	rollback := len(cfg.Preheat) > 0 && slices.Equal(cfg.Preheat, s.preheated)
+	if rollback {
+		// A controller whose undo log overflowed cannot roll back; then
+		// every controller clears, rolled back or not.
+		for _, n := range s.Nodes {
+			if !n.Cache.Rollback() || !n.Mem.Rollback() {
+				rollback = false
+				break
+			}
+		}
+	}
 	for i, n := range s.Nodes {
-		n.Cache.Reset()
-		n.Mem.Reset()
+		if !rollback {
+			n.Cache.Reset()
+			n.Mem.Reset()
+		}
 		if n.Adaptive != nil {
 			acfg := cfg.Adaptive
 			acfg.Seed = uint16(cfg.Seed>>4) ^ uint16(3*i+1)
@@ -334,16 +363,48 @@ func (s *System) wire(cfg Config) {
 	s.trace = nil
 	s.traffic.reset()
 	s.totalOps = 0
+	if rollback {
+		s.rollbacks++
+		// The checker saw no installs; give it the commits they make.
+		if s.Checker != nil {
+			for i, a := range cfg.Preheat {
+				s.Checker.WriteCommit(network.NodeID(i%cfg.Nodes), a, 0, uint64(i)+1, 0)
+			}
+		}
+		return
+	}
+	s.preheated = s.preheated[:0]
+	if len(cfg.Preheat) == 0 {
+		return
+	}
+	for i, a := range cfg.Preheat {
+		s.PreheatOwned(a, network.NodeID(i%cfg.Nodes), uint64(i)+1)
+	}
+	for _, n := range s.Nodes {
+		n.Cache.Checkpoint()
+		n.Mem.Checkpoint()
+	}
+	s.preheated = append(s.preheated, cfg.Preheat...)
 }
 
 // Reset re-seeds the System for a new run of a structurally compatible
 // configuration — same protocol, node count, cache geometry, retry buffer,
 // predictor and checker/watchdog presence — without reallocating any of its
 // large structures. Per-run parameters (bandwidth, broadcast cost, seed,
-// jitter, adaptive tuning, watchdog interval) may differ freely. A reset
-// System produces byte-identical results to a freshly constructed one; an
-// incompatible config is reported as an error and leaves the System
-// untouched. Attach a workload and Measure as usual afterwards.
+// jitter, adaptive tuning, watchdog interval, warm set, recycling) may
+// differ freely. A reset System is indistinguishable from one freshly
+// built with the same cfg: it produces byte-identical results, and its
+// controllers hold the same line states and values, cache residency and
+// LRU order, and home directory entries. An incompatible config is
+// reported as an error and leaves the System untouched. Attach a workload
+// and Measure as usual afterwards.
+//
+// What a Reset costs depends on cfg.Preheat. When it equals the warm set
+// the previous NewSystem or Reset installed, Reset undoes what the last
+// run changed — the line and directory records and the cache sets it
+// touched, including any PreheatOwned calls made after that lease — and
+// installs nothing. Otherwise, including whenever Preheat is empty, Reset
+// clears every record the last run left and installs the new warm set.
 func (s *System) Reset(cfg Config) error {
 	cfg = cfg.withDefaults()
 	if have, want := s.cfg.structuralKey(), cfg.structuralKey(); have != want {
@@ -364,7 +425,11 @@ func (s *System) HomeOf(a coherence.Addr) network.NodeID {
 // PreheatOwned installs a block as Modified in one cache, with consistent
 // home state, without generating traffic. Used to warm-start workloads so
 // sharing misses dominate from the first access (the paper reaches the same
-// state via warm-up runs).
+// state via warm-up runs). Config.Preheat installs the standard warm set
+// (block i at node i % Nodes) the same way and lets a pooled lease roll
+// back to it; PreheatOwned is for other owners or tokens. Like any change
+// a run makes, a call after the warm set's install is undone by the next
+// Reset.
 func (s *System) PreheatOwned(a coherence.Addr, owner network.NodeID, token uint64) {
 	s.Nodes[owner].Cache.Preheat(a, coherence.Modified, token)
 	s.Nodes[s.HomeOf(a)].Mem.Preheat(a, owner, 0)

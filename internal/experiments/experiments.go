@@ -353,10 +353,16 @@ func leaseSystem(o Options, cfg core.Config) (*core.System, func()) {
 }
 
 // runOne simulates one data point. Warm-up and measurement operation
-// counts are scaled with system size (relative to the 16-processor
-// baseline) so that every processor sees enough misses for the adaptive
-// mechanism to reach steady state — the paper's mechanism needs ~130k
-// cycles (~1000 misses per processor) to swing across its full range.
+// counts are system-wide totals, scaled with system size above the
+// 16-processor baseline so that the per-processor counts stay fixed from
+// 16 processors up: Quick gives each processor 50 warm-up and 150
+// measured operations (800 and 2,400 at 16p), Full 250 and 1,000. That is
+// less than the paper's mechanism needs to swing across its full range
+// (~130k cycles, 255 samples of 512), so BASH can be measured before its
+// policy counter settles; ROADMAP's "BASH must converge before it is
+// measured" item tracks the fix. The warm set goes in Config.Preheat, so
+// a pooled System that ran the same warm set last rolls back to it rather
+// than installing it again.
 func runOne(o Options, rc runConfig) core.Metrics {
 	simCount.Add(1)
 	if rc.nodes > 16 {
@@ -380,12 +386,10 @@ func runOne(o Options, rc runConfig) core.Metrics {
 	cfg.Adaptive.ThresholdPercent = rc.threshold
 	cfg.Adaptive.Interval = rc.interval
 	cfg.Adaptive.PolicyBits = rc.policyBits
+	wl, warm := makeWorkload(rc)
+	cfg.Preheat = warm
 	sys, release := leaseSystem(o, cfg)
 	defer release()
-	wl, warm := makeWorkload(rc)
-	for i, a := range warm {
-		sys.PreheatOwned(a, network.NodeID(i%rc.nodes), uint64(i)+1)
-	}
 	sys.AttachWorkload(func(network.NodeID) core.Workload { return wl })
 	return sys.Measure(rc.warm, rc.measure)
 }

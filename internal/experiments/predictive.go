@@ -48,18 +48,16 @@ func Predictive(o Options) *TableResult {
 	}
 	rows, err := runner.Map(len(jobs), o.runnerOptions(label), func(i int) ([]string, error) {
 		j := jobs[i]
+		lk := workload.NewLocking(128*nodes, 0)
 		sys, release := leaseSystem(o, core.Config{
 			Protocol:         j.p,
 			Nodes:            nodes,
 			BandwidthMBs:     j.bw,
 			Seed:             21,
 			WatchdogInterval: o.watchdogInterval(),
+			Preheat:          lk.WarmBlocks(),
 		})
 		defer release()
-		lk := workload.NewLocking(128*nodes, 0)
-		for i, a := range lk.WarmBlocks() {
-			sys.PreheatOwned(a, network.NodeID(i%nodes), uint64(i)+1)
-		}
 		sys.AttachWorkload(func(network.NodeID) core.Workload { return lk })
 		m := sys.Measure(warm, measure)
 		st := sys.CacheStats()

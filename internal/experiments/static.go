@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/queueing"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -193,14 +192,15 @@ func Stability(o Options) *TableResult {
 		},
 	}
 	for _, p := range []core.Protocol{core.BASH, core.BashSwitch} {
+		lk := workload.NewLocking(128*16, 0)
 		sys, release := leaseSystem(o, core.Config{
 			Protocol:         p,
 			Nodes:            16,
 			BandwidthMBs:     1200,
 			Seed:             5,
 			WatchdogInterval: o.watchdogInterval(),
+			Preheat:          lk.WarmBlocks(),
 		})
-		lk := makeLocking(sys, 0)
 		sys.AttachWorkload(func(network.NodeID) core.Workload { return lk })
 		sys.Start()
 		sys.Kernel.RunUntil(func() bool { return sys.TotalOps() >= warm })
@@ -237,15 +237,6 @@ func Stability(o Options) *TableResult {
 		})
 	}
 	return t
-}
-
-func makeLocking(sys *core.System, think sim.Time) core.Workload {
-	nodes := sys.Net.Nodes()
-	lk := workload.NewLocking(128*nodes, think)
-	for i, a := range lk.WarmBlocks() {
-		sys.PreheatOwned(a, network.NodeID(i%nodes), uint64(i)+1)
-	}
-	return lk
 }
 
 func meanStd(xs []float64) (mean, sd float64) {
