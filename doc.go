@@ -100,11 +100,13 @@
 //     as core sets it); handlers copy what they need.
 //   - line records recycle on release (Invalid, no txn, no deferrals), txn
 //     records at transaction completion, pended queues when the blocking
-//     writeback retires, directory entries and everything still live at
-//     System.Reset — which drains records into the free lists rather than
-//     freeing them, so pooled reuse keeps the warmed capacity. Packets
-//     still parked at Reset are dropped to the GC (a parked packet may be
-//     shared by several nodes; recycling it twice would corrupt the pool).
+//     writeback retires, deferral and waiting lists when their work
+//     replays or their record dies, directory entries and everything
+//     still live at System.Reset — which drains records into the free
+//     lists rather than freeing them, so pooled reuse keeps the warmed
+//     capacity. Packets still parked at Reset are dropped to the GC (a
+//     parked packet may be shared by several nodes; recycling it twice
+//     would corrupt the pool).
 //   - Config.NoRecycle disables all of it (fresh allocation everywhere,
 //     reference counting still checked) for byte-for-byte comparison runs;
 //     results are identical either way.

@@ -9,8 +9,8 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"slices"
 	"strings"
 )
 
@@ -29,21 +29,27 @@ func DefaultConfig() Config { return Config{Sets: 16384, Ways: 4} }
 // Lines returns total capacity in blocks.
 func (c Config) Lines() int { return c.Sets * c.Ways }
 
+// way is one way of a set: tag is the resident block's address plus one,
+// or 0 for an invalid way, and lru is its use stamp (larger = more
+// recently used). Sixteen bytes, so a 4-way set fills one 64-byte line.
 type way struct {
-	addr  Addr
-	valid bool
-	lru   uint64 // larger = more recently used
+	tag Addr
+	lru uint64
 }
 
 // Array is a set-associative residency map. The zero value is unusable; use
 // New.
 //
-// Sets materialize lazily on first insert: the paper's 16384-set
-// configuration is 1.5 MB of way state per node, and a short sweep cell
-// touches a small fraction of it, so eagerly zeroing every set dominated
-// the per-run setup cost of fleet-style experiment sweeps. For the same
-// reason Reset clears only the sets changed since the previous Reset,
-// found through one-bit-per-set maps, instead of walking all of them.
+// Sets materialize lazily on first insert: a short sweep cell touches a
+// small fraction of the paper's 16384 sets, so eagerly zeroing them all
+// dominated the per-run setup cost of fleet-style experiment sweeps. The
+// materialized sets are packed, in first-touch order, into one
+// pointer-free way store that grows by doubling; per set the array keeps
+// only a 4-byte offset into it. A node at the paper's geometry therefore
+// holds 64 KB of offsets plus 64 bytes per touched set, none of which the
+// garbage collector scans. For the same reason as lazy materialization,
+// Reset clears only the sets changed since the previous Reset, found
+// through one-bit-per-set maps, instead of walking all of them.
 //
 // Checkpoint and Rollback go one step further for runs that start from the
 // same installed state: after Checkpoint the array saves each set's ways
@@ -52,8 +58,11 @@ type way struct {
 // touched.
 type Array struct {
 	cfg Config
-	// sets holds nil per entry until the first insert into that set.
-	sets [][]way
+	// off[i] is 1 + set i's index in ways (whose ways are
+	// ways[k*Ways:(k+1)*Ways] for index k), or 0 while set i has never
+	// been materialized.
+	off  []int32
+	ways []way
 	// dirty has bit i set when set i changed since the last Reset,
 	// Checkpoint or Rollback; held has bit i set when set i may hold
 	// blocks installed before the current checkpoint.
@@ -73,15 +82,19 @@ type Array struct {
 	ckSize   int
 }
 
+// minStoreSets is the number of sets the way store first allocates room
+// for.
+const minStoreSets = 64
+
 // New builds an array for the configuration.
 func New(cfg Config) *Array {
-	if cfg.Sets <= 0 || cfg.Ways <= 0 {
+	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.Sets > math.MaxInt32 {
 		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
 	}
 	words := (cfg.Sets + 63) / 64
 	return &Array{
 		cfg:   cfg,
-		sets:  make([][]way, cfg.Sets),
+		off:   make([]int32, cfg.Sets),
 		dirty: make([]uint64, words),
 		held:  make([]uint64, words),
 	}
@@ -92,18 +105,18 @@ func (a *Array) Config() Config { return a.cfg }
 
 // Reset empties the array without releasing its storage: already
 // materialized sets are zeroed in place rather than dropped, so a reused
-// array skips both the top-level table allocation and the per-set
-// materialization cost for sets the previous run touched. Only sets marked
-// dirty or held are visited; every other set is still zero from the Reset
-// before, or was never materialized, since every change to a set marks it.
-// Behaviour after Reset is indistinguishable from a fresh array (a zeroed
-// way is invalid, exactly like a way in a never-materialized set). Reset
-// ends any checkpoint.
+// array skips both the table allocations and the materialization cost for
+// sets the previous run touched. Only sets marked dirty or held are
+// visited; every other set is still zero from the Reset before, or was
+// never materialized, since every change to a set marks it. Behaviour
+// after Reset is indistinguishable from a fresh array (a zeroed way is
+// invalid, exactly like a way in a never-materialized set). Reset ends any
+// checkpoint.
 func (a *Array) Reset() {
 	for wi, w := range a.dirty {
 		w |= a.held[wi]
 		for w != 0 {
-			clear(a.sets[wi*64+bits.TrailingZeros64(w)])
+			clear(a.set(wi*64 + bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 		a.dirty[wi] = 0
@@ -136,7 +149,7 @@ func (a *Array) Checkpoint() {
 func (a *Array) Rollback() {
 	ways := a.cfg.Ways
 	for k, i := range a.undoSets {
-		copy(a.sets[i], a.undoWays[k*ways:(k+1)*ways])
+		copy(a.set(i), a.undoWays[k*ways:(k+1)*ways])
 		a.dirty[i/64] &^= 1 << (i % 64)
 	}
 	a.undoSets = a.undoSets[:0]
@@ -151,6 +164,42 @@ func (a *Array) Len() int { return a.size }
 // index returns addr's set number.
 func (a *Array) index(addr Addr) int { return int(addr % Addr(a.cfg.Sets)) }
 
+// set returns set i's ways, or nil while it has never been materialized.
+func (a *Array) set(i int) []way {
+	k := int(a.off[i]-1) * a.cfg.Ways
+	if k < 0 {
+		return nil
+	}
+	return a.ways[k : k+a.cfg.Ways : k+a.cfg.Ways]
+}
+
+// materialize appends zeroed ways for set i to the store, doubling the
+// store when it is full. Ways past the store's length are always zero:
+// the store never shrinks.
+func (a *Array) materialize(i int) {
+	n := len(a.ways)
+	if n+a.cfg.Ways > cap(a.ways) {
+		grown := make([]way, n, max(2*cap(a.ways), minStoreSets*a.cfg.Ways))
+		copy(grown, a.ways)
+		a.ways = grown
+	}
+	a.ways = a.ways[:n+a.cfg.Ways]
+	a.off[i] = int32(n/a.cfg.Ways) + 1
+}
+
+// find returns the index in s of the way holding addr, or -1. The
+// all-ones address is never resident: its tag would be 0.
+func find(s []way, addr Addr) int {
+	if tag := addr + 1; tag != 0 {
+		for i := range s {
+			if s[i].tag == tag {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
 // change marks set i changed; on the set's first change since the
 // checkpoint it saves the set's ways first.
 func (a *Array) change(i int) {
@@ -162,67 +211,60 @@ func (a *Array) change(i int) {
 func (a *Array) firstChange(i int) {
 	a.dirty[i/64] |= 1 << (i % 64)
 	if a.logging {
-		n := len(a.undoWays)
-		a.undoWays = slices.Grow(a.undoWays, a.cfg.Ways)[:n+a.cfg.Ways]
-		if saved := a.undoWays[n:]; copy(saved, a.sets[i]) == 0 {
-			clear(saved) // a nil set saves as empty ways
-		}
+		a.undoWays = append(a.undoWays, a.set(i)...)
 		a.undoSets = append(a.undoSets, i)
 	}
 }
 
 // Contains reports whether the block is resident, without touching LRU state.
 func (a *Array) Contains(addr Addr) bool {
-	s := a.sets[a.index(addr)]
-	for i := range s {
-		if s[i].valid && s[i].addr == addr {
-			return true
-		}
-	}
-	return false
+	return find(a.set(a.index(addr)), addr) >= 0
 }
 
 // Touch marks the block most recently used and reports whether it was
 // resident.
 func (a *Array) Touch(addr Addr) bool {
 	si := a.index(addr)
-	s := a.sets[si]
-	for i := range s {
-		if s[i].valid && s[i].addr == addr {
-			a.change(si)
-			a.clock++
-			s[i].lru = a.clock
-			return true
-		}
+	s := a.set(si)
+	i := find(s, addr)
+	if i < 0 {
+		return false
 	}
-	return false
+	a.change(si)
+	a.clock++
+	s[i].lru = a.clock
+	return true
 }
 
 // Insert makes the block resident, evicting the least recently used
 // non-pinned way if the set is full. pinned may be nil. It returns the
 // evicted block address and whether an eviction happened. Inserting a block
 // that is already resident only touches it. If every way in the set is
-// pinned, Insert reports failure with ok=false and does not insert.
+// pinned, Insert reports failure with ok=false and does not insert. The
+// all-ones address cannot be inserted; Insert panics on it.
 func (a *Array) Insert(addr Addr, pinned func(Addr) bool) (victim Addr, evicted, ok bool) {
-	si := a.index(addr)
-	a.change(si)
-	s := a.sets[si]
-	if s == nil {
-		s = make([]way, a.cfg.Ways)
-		a.sets[si] = s
+	tag := addr + 1
+	if tag == 0 {
+		panic("cache: the all-ones address cannot be inserted")
 	}
+	si := a.index(addr)
+	if a.off[si] == 0 {
+		a.materialize(si)
+	}
+	a.change(si)
+	s := a.set(si)
 	a.clock++
 	// Already resident?
 	for i := range s {
-		if s[i].valid && s[i].addr == addr {
+		if s[i].tag == tag {
 			s[i].lru = a.clock
 			return 0, false, true
 		}
 	}
 	// Free way?
 	for i := range s {
-		if !s[i].valid {
-			s[i] = way{addr: addr, valid: true, lru: a.clock}
+		if s[i].tag == 0 {
+			s[i] = way{tag: tag, lru: a.clock}
 			a.size++
 			return 0, false, true
 		}
@@ -230,7 +272,7 @@ func (a *Array) Insert(addr Addr, pinned func(Addr) bool) (victim Addr, evicted,
 	// Evict LRU among non-pinned ways.
 	vi := -1
 	for i := range s {
-		if pinned != nil && pinned(s[i].addr) {
+		if pinned != nil && pinned(s[i].tag-1) {
 			continue
 		}
 		if vi == -1 || s[i].lru < s[vi].lru {
@@ -240,37 +282,37 @@ func (a *Array) Insert(addr Addr, pinned func(Addr) bool) (victim Addr, evicted,
 	if vi == -1 {
 		return 0, false, false
 	}
-	victim = s[vi].addr
-	s[vi] = way{addr: addr, valid: true, lru: a.clock}
+	victim = s[vi].tag - 1
+	s[vi] = way{tag: tag, lru: a.clock}
 	return victim, true, true
 }
 
 // Remove makes the block non-resident (silent drop or invalidation) and
-// reports whether it was resident.
+// reports whether it was resident. The way is zeroed, like a way that was
+// never used.
 func (a *Array) Remove(addr Addr) bool {
 	si := a.index(addr)
-	s := a.sets[si]
-	for i := range s {
-		if s[i].valid && s[i].addr == addr {
-			a.change(si)
-			s[i].valid = false
-			a.size--
-			return true
-		}
+	s := a.set(si)
+	i := find(s, addr)
+	if i < 0 {
+		return false
 	}
-	return false
+	a.change(si)
+	s[i] = way{}
+	a.size--
+	return true
 }
 
-// Snapshot renders the array's clock, size and every non-zero way with its
+// Snapshot renders the array's clock, size and every valid way with its
 // set and way position, for tests that compare two arrays' states. A
 // never-materialized set renders like a zeroed one.
 func (a *Array) Snapshot() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "clock %d size %d\n", a.clock, a.size)
-	for si, s := range a.sets {
-		for wi, w := range s {
-			if w != (way{}) {
-				fmt.Fprintf(&b, "set %d way %d: addr %d valid %t lru %d\n", si, wi, w.addr, w.valid, w.lru)
+	for si := range a.off {
+		for wi, w := range a.set(si) {
+			if w.tag != 0 {
+				fmt.Fprintf(&b, "set %d way %d: addr %d lru %d\n", si, wi, w.tag-1, w.lru)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestInsertAndContains(t *testing.T) {
@@ -64,6 +65,57 @@ func TestPinnedBlocksSurvive(t *testing.T) {
 	a2.Insert(9, nil)
 	if _, _, ok := a2.Insert(10, func(Addr) bool { return true }); ok {
 		t.Fatal("insert succeeded with every way pinned")
+	}
+}
+
+// TestInsertAllOnesPanics: the all-ones address has no tag (address plus
+// one would be 0, the invalid way), so Insert refuses it loudly and the
+// lookups report it absent.
+func TestInsertAllOnesPanics(t *testing.T) {
+	a := New(Config{Sets: 4, Ways: 2})
+	a.Insert(3, nil)
+	a.Remove(3) // leaves an invalid way in the all-ones address's set
+	allOnes := ^Addr(0)
+	if a.Contains(allOnes) || a.Touch(allOnes) || a.Remove(allOnes) {
+		t.Fatal("all-ones address reported resident")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Insert of the all-ones address did not panic")
+		}
+	}()
+	a.Insert(allOnes, nil)
+}
+
+// TestWayStorePacking: sets materialize into the way store in first-touch
+// order, the store keeps them across growth, and a 4-way set is one
+// 64-byte line.
+func TestWayStorePacking(t *testing.T) {
+	if size := unsafe.Sizeof(way{}); size != 16 {
+		t.Fatalf("way is %d bytes, want 16", size)
+	}
+	cfg := Config{Sets: 1024, Ways: 4}
+	a := New(cfg)
+	order := []Addr{700, 3, 1023, 512}
+	for k := range 3 * minStoreSets { // past two doublings of the store
+		order = append(order, Addr(100+k))
+	}
+	for _, addr := range order {
+		a.Insert(addr, nil)
+	}
+	if got, want := len(a.ways), len(order)*cfg.Ways; got != want {
+		t.Fatalf("store holds %d ways, want %d", got, want)
+	}
+	for k, addr := range order {
+		if got := a.off[a.index(addr)]; got != int32(k+1) {
+			t.Fatalf("set of %d at store index %d, want %d", addr, got-1, k)
+		}
+		if !a.Contains(addr) {
+			t.Fatalf("block %d lost when the store grew", addr)
+		}
+	}
+	if a.off[1] != 0 {
+		t.Fatal("an untouched set was materialized")
 	}
 }
 
@@ -165,12 +217,10 @@ func TestResetMatchesFresh(t *testing.T) {
 	f := func(first, second []uint16) bool {
 		replay(reused, first)
 		reused.Reset()
-		for i, s := range reused.sets {
-			for _, w := range s {
-				if w != (way{}) {
-					t.Logf("set %d not cleared: %+v", i, w)
-					return false
-				}
+		for i, w := range reused.ways {
+			if w != (way{}) {
+				t.Logf("store slot %d (way %d of its set) not cleared: %+v", i, i%cfg.Ways, w)
+				return false
 			}
 		}
 		for _, w := range reused.dirty {

@@ -498,8 +498,7 @@ func (m *BashMem) process(seq uint64, pkt *Packet) {
 			ev = EvMemPutMStale
 		}
 		m.tbl.Fire(e.state, ev)
-		m.env.Recycler.Retain(pkt)
-		e.waiting = append(e.waiting, memWait{seq: seq, pkt: pkt})
+		m.env.Recycler.wait(e, seq, pkt)
 		return
 	}
 	if pkt.Kind == PutM {
@@ -638,15 +637,16 @@ func (m *BashMem) OnUnordered(pkt *Packet) {
 	e.completeWB(pkt.Value)
 	m.env.progress()
 	// Replay deferred same-block instances in arrival order (see the
-	// snooping controller for the in-place truncation argument).
+	// snooping controller for why the list is detached).
 	waiting := e.waiting
-	e.waiting = e.waiting[:0]
+	e.waiting = nil
 	for i := range waiting {
 		w := waiting[i]
 		waiting[i] = memWait{}
 		m.process(w.seq, w.pkt)
 		m.env.Recycler.Release(w.pkt)
 	}
+	m.env.Recycler.putWaitList(waiting)
 }
 
 // HomeValue reports memory's copy and ownership for a block.

@@ -88,8 +88,9 @@ type ctrlCore struct {
 	// hitLatency is the L2 hit service time (breaks same-instant recursion).
 	hitLatency sim.Time
 
-	// deferCap is the deferral capacity fresh line records are born with
-	// (the node count: the common-case bound on same-block deferrals).
+	// deferCap is the capacity of a new deferral list, which a line record
+	// takes from the Recycler's pool on its first deferral (the node
+	// count, at least 8: the common-case bound on same-block deferrals).
 	deferCap int
 
 	// pinnedFn is the eviction-pinning predicate, bound once so missFetch
@@ -183,14 +184,13 @@ func (c *ctrlCore) Rollback() bool {
 		s := &saved[i]
 		l := c.lines.get(s.addr)
 		if l == nil {
-			l = rec.getLine(s.addr, c.deferCap)
+			l = rec.getLine(s.addr)
 			c.lines.put(s.addr, l)
 		}
 		c.dropTxn(l)
-		deferred := l.deferred
-		clear(deferred)
+		rec.putDeferList(l.deferred)
 		*l = s.val
-		l.deferred = deferred[:0]
+		l.deferred = nil
 	}
 	c.lines.checkpoint()
 	c.array.Rollback()
@@ -275,7 +275,7 @@ func (c *ctrlCore) lookup(addr Addr) *line {
 func (c *ctrlCore) line(addr Addr) *line {
 	l := c.lookup(addr)
 	if l == nil {
-		l = c.env.Recycler.getLine(addr, c.deferCap)
+		l = c.env.Recycler.getLine(addr)
 		l.logged = c.lines.logging
 		c.lines.put(addr, l)
 	}
@@ -524,9 +524,13 @@ func (c *ctrlCore) completeWB(l *line) {
 }
 
 // defer_ parks a foreign instance until the outstanding transaction
-// resolves, retaining the packet past its delivery.
+// resolves, retaining the packet past its delivery. The record's first
+// deferral takes a list from the Recycler's pool.
 func (c *ctrlCore) defer_(l *line, seq uint64, pkt *Packet) {
 	c.env.Recycler.Retain(pkt)
+	if l.deferred == nil {
+		l.deferred = c.env.Recycler.getDeferList(c.deferCap)
+	}
 	l.deferred = append(l.deferred, deferredMsg{seq: seq, pkt: pkt})
 }
 
@@ -534,12 +538,17 @@ func (c *ctrlCore) defer_(l *line, seq uint64, pkt *Packet) {
 // effective instance are subsumed by it and dropped; later ones apply to the
 // post-transaction state in order. Every parked packet's retained reference
 // is released here (a replayed instance that re-defers retains again).
+//
+// The list is detached from the record before the replay and pooled after
+// it: a replayed instance may release the record, which recycles it (and
+// would pool an attached list mid-replay), and one that re-defers takes a
+// fresh list.
 func (c *ctrlCore) replayDeferred(l *line, effSeq uint64) {
-	if len(l.deferred) == 0 {
+	defs := l.deferred
+	if len(defs) == 0 {
 		return
 	}
-	defs := l.deferred
-	l.deferred = l.deferred[:0]
+	l.deferred = nil
 	for i := range defs {
 		d := defs[i]
 		defs[i] = deferredMsg{}
@@ -548,6 +557,7 @@ func (c *ctrlCore) replayDeferred(l *line, effSeq uint64) {
 		}
 		c.env.Recycler.Release(d.pkt)
 	}
+	c.env.Recycler.putDeferList(defs)
 	c.release(l)
 }
 

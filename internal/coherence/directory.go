@@ -454,8 +454,7 @@ func (m *DirMem) apply(pkt *Packet) {
 			ev = EvMemPutMStale
 		}
 		m.tbl.Fire(e.state, ev)
-		m.env.Recycler.Retain(pkt)
-		e.waiting = append(e.waiting, memWait{pkt: pkt})
+		m.env.Recycler.wait(e, 0, pkt)
 		return
 	}
 	req := pkt.Requestor
@@ -547,15 +546,16 @@ func (m *DirMem) dataWB(pkt *Packet) {
 	e.completeWB(pkt.Value)
 	m.env.progress()
 	// Replay deferred same-block requests in arrival order (see the
-	// snooping controller for the in-place truncation argument).
+	// snooping controller for why the list is detached).
 	waiting := e.waiting
-	e.waiting = e.waiting[:0]
+	e.waiting = nil
 	for i := range waiting {
 		w := waiting[i]
 		waiting[i] = memWait{}
 		m.apply(w.pkt)
 		m.env.Recycler.Release(w.pkt)
 	}
+	m.env.Recycler.putWaitList(waiting)
 }
 
 // HomeValue reports memory's copy and ownership for a block.

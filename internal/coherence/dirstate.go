@@ -34,7 +34,9 @@ type dirEntry struct {
 	// wbFrom is the cache whose writeback is in flight while state == MemWB.
 	wbFrom network.NodeID
 
-	// waiting holds same-block work deferred while state == MemWB.
+	// waiting holds same-block work deferred while state == MemWB, in a
+	// list taken from the Recycler's pool on the first deferral; nil
+	// otherwise.
 	waiting []memWait
 }
 
@@ -52,8 +54,8 @@ func newDirState(rec *Recycler) *dirState {
 }
 
 // reset returns every block to clean-at-memory, keeping the table's slot
-// arrays and draining the live entries into the recycler (waiting-slice
-// capacity retained, parked packets dropped to the GC) so the next run
+// arrays and draining the live entries and their waiting lists into the
+// recycler (parked packets dropped to the GC) so the next run
 // materializes its working set without allocating. It ends any checkpoint.
 func (d *dirState) reset() {
 	for _, e := range d.blocks.vals {
@@ -86,10 +88,9 @@ func (d *dirState) rollback() bool {
 			e = d.rec.getDirEntry()
 			d.blocks.put(s.addr, e)
 		}
-		waiting := e.waiting
-		clear(waiting)
+		d.rec.putWaitList(e.waiting)
 		*e = s.val
-		e.waiting = waiting[:0]
+		e.waiting = nil
 	}
 	d.blocks.checkpoint()
 	return true

@@ -219,15 +219,17 @@ func TestPoisonedReuse(t *testing.T) {
 	rec := NewRecycler()
 
 	// line
-	l := rec.getLine(1, 4)
+	l := rec.getLine(1)
 	l.state = Modified
 	l.value = 0xDEAD
 	l.sharers.Set(3)
 	l.txn = &txn{id: 9}
-	l.deferred = append(l.deferred, deferredMsg{seq: 5, pkt: &Packet{refs: 1}})
+	l.deferred = rec.getDeferList(4)
+	l.deferred = append(l.deferred, deferredMsg{seq: 5, pkt: &Packet{refs: 1}}, deferredMsg{seq: 6, pkt: &Packet{refs: 1}})
+	list := l.deferred
 	l.txn = nil // caller contract: txn recycled separately before putLine
 	rec.putLine(l)
-	got := rec.getLine(42, 4)
+	got := rec.getLine(42)
 	if got != l {
 		t.Fatal("free list did not return the recycled line")
 	}
@@ -235,8 +237,16 @@ func TestPoisonedReuse(t *testing.T) {
 		got.txn != nil || len(got.deferred) != 0 {
 		t.Fatalf("poisoned line not re-initialized: %+v", got)
 	}
-	if cap(got.deferred) == 0 {
-		t.Fatal("recycled line lost its deferred-slice capacity")
+	// The record's deferral list went back to the pool: it comes back
+	// empty, with its capacity, and with no packet left in any slot.
+	gl := rec.getDeferList(4)
+	if len(gl) != 0 || cap(gl) != cap(list) || &gl[:1][0] != &list[0] {
+		t.Fatalf("pool did not return the recycled deferral list empty with its capacity: len %d cap %d", len(gl), cap(gl))
+	}
+	for i, d := range gl[:cap(gl)] {
+		if d != (deferredMsg{}) {
+			t.Fatalf("pooled deferral list slot %d still holds %+v", i, d)
+		}
 	}
 
 	// txn
@@ -259,7 +269,8 @@ func TestPoisonedReuse(t *testing.T) {
 	e.sharers.Set(1)
 	e.value = 0xF00D
 	e.wbFrom = 2
-	e.waiting = append(e.waiting, memWait{seq: 3, pkt: &Packet{}})
+	rec.wait(e, 3, &Packet{})
+	waiting := e.waiting
 	rec.putDirEntry(e)
 	ge := rec.getDirEntry()
 	if ge != e {
@@ -268,6 +279,15 @@ func TestPoisonedReuse(t *testing.T) {
 	if ge.state != MemOwner || ge.owner != MemoryOwner || !ge.sharers.IsEmpty() ||
 		ge.value != 0 || ge.wbFrom != 0 || len(ge.waiting) != 0 {
 		t.Fatalf("poisoned dirEntry not re-initialized: %+v", ge)
+	}
+	gw := rec.getWaitList()
+	if len(gw) != 0 || cap(gw) != cap(waiting) || &gw[:1][0] != &waiting[0] {
+		t.Fatalf("pool did not return the recycled waiting list empty with its capacity: len %d cap %d", len(gw), cap(gw))
+	}
+	for i, w := range gw[:cap(gw)] {
+		if w != (memWait{}) {
+			t.Fatalf("pooled waiting list slot %d still holds %+v", i, w)
+		}
 	}
 
 	// Packet, through the refcount path.
@@ -318,9 +338,14 @@ func TestNoRecycleHatch(t *testing.T) {
 	if rec.FreeLen() != 0 || len(rec.lines) != 0 || len(rec.txns) != 0 {
 		t.Fatal("NoRecycle recycler pooled a record")
 	}
-	l := rec.getLine(1, 4)
+	l := rec.getLine(1)
 	rec.putLine(l)
-	if got := rec.getLine(1, 4); got == l {
+	if got := rec.getLine(1); got == l {
 		t.Fatal("NoRecycle recycler reused a line record")
+	}
+	q := rec.getDeferList(4)
+	rec.putDeferList(q)
+	if len(rec.defers) != 0 {
+		t.Fatal("NoRecycle recycler pooled a deferral list")
 	}
 }

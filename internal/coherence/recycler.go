@@ -48,7 +48,9 @@ type Recycler struct {
 
 	lines   []*line
 	txns    []*txn
-	pends   [][]pendedOp
+	pends   sliceStack[pendedOp]
+	defers  sliceStack[deferredMsg]
+	waits   sliceStack[memWait]
 	entries []*dirEntry
 	applies []*dirApplyTask
 
@@ -60,6 +62,11 @@ type Recycler struct {
 	// Gets and Reuses count packet allocations served in total and from the
 	// free list (diagnostics and tests).
 	Gets, Reuses uint64
+
+	// DeferLists and WaitLists count the deferral lists handed to line
+	// records and the waiting lists handed to directory entries
+	// (diagnostics and tests).
+	DeferLists, WaitLists uint64
 }
 
 // NewRecycler returns an empty recycler with recycling enabled.
@@ -121,11 +128,10 @@ func (p *Recycler) Live() int { return p.live }
 // FreeLen reports the current packet free-list depth (tests/diagnostics).
 func (p *Recycler) FreeLen() int { return len(p.free) }
 
-// getLine materializes a line record for addr. Fresh records are born with
-// deferral capacity so a record's deferred slice almost never grows after
-// creation (deferCap is the system's node count, the common-case bound on
-// concurrent same-block deferrals).
-func (p *Recycler) getLine(addr Addr, deferCap int) *line {
+// getLine materializes a line record for addr. Records hold no deferral
+// list: few blocks ever defer, so a record takes one from getDeferList on
+// its first deferral instead of being born with node-count capacity.
+func (p *Recycler) getLine(addr Addr) *line {
 	if n := len(p.lines); n > 0 && !p.noRecycle {
 		l := p.lines[n-1]
 		p.lines[n-1] = nil
@@ -134,24 +140,70 @@ func (p *Recycler) getLine(addr Addr, deferCap int) *line {
 		l.state = Invalid
 		return l
 	}
-	l := &line{addr: addr, state: Invalid}
-	if !p.noRecycle {
-		l.deferred = make([]deferredMsg, 0, deferCap)
-	}
-	return l
+	return &line{addr: addr, state: Invalid}
 }
 
-// putLine zeroes a line record (keeping its deferred-slice capacity) and
-// returns it to the free list. The caller must have removed it from its
-// line map and recycled/dropped its transaction.
+// putLine returns a line record's deferral list, if any, zeroes the record
+// and returns it to the free list. The caller must have removed it from
+// its line map and recycled/dropped its transaction.
 func (p *Recycler) putLine(l *line) {
 	if p.noRecycle {
 		return
 	}
-	deferred := l.deferred
-	clear(deferred) // release parked packet references to the GC
-	*l = line{deferred: deferred[:0]}
+	p.putDeferList(l.deferred)
+	*l = line{}
 	p.lines = append(p.lines, l)
+}
+
+// getDeferList returns an empty deferral list: a pooled one, which keeps
+// the capacity it grew to, or a new one of capacity capHint.
+func (p *Recycler) getDeferList(capHint int) []deferredMsg {
+	p.DeferLists++
+	if q := p.defers.pop(); q != nil && !p.noRecycle {
+		return q
+	}
+	return make([]deferredMsg, 0, capHint)
+}
+
+// putDeferList pools a deferral list empty, dropping any parked packet to
+// the GC.
+func (p *Recycler) putDeferList(q []deferredMsg) {
+	if q == nil || p.noRecycle {
+		return
+	}
+	p.defers.push(q)
+}
+
+// waitListCap is the capacity of a new directory waiting list.
+const waitListCap = 4
+
+// getWaitList returns an empty waiting list, pooled when possible.
+func (p *Recycler) getWaitList() []memWait {
+	p.WaitLists++
+	if q := p.waits.pop(); q != nil && !p.noRecycle {
+		return q
+	}
+	return make([]memWait, 0, waitListCap)
+}
+
+// putWaitList pools a waiting list empty, dropping any parked packet to
+// the GC.
+func (p *Recycler) putWaitList(q []memWait) {
+	if q == nil || p.noRecycle {
+		return
+	}
+	p.waits.push(q)
+}
+
+// wait parks same-block work on a home entry while its writeback is in
+// flight, retaining the packet; the entry's first parked unit takes a
+// waiting list from the pool.
+func (p *Recycler) wait(e *dirEntry, seq uint64, pkt *Packet) {
+	p.Retain(pkt)
+	if e.waiting == nil {
+		e.waiting = p.getWaitList()
+	}
+	e.waiting = append(e.waiting, memWait{seq: seq, pkt: pkt})
 }
 
 func (p *Recycler) getTxn() *txn {
@@ -173,24 +225,44 @@ func (p *Recycler) putTxn(t *txn) {
 	p.txns = append(p.txns, t)
 }
 
+// sliceStack is a free list of emptied slices, each keeping its capacity.
+// Every slot of a pooled slice is zero: push clears the slots in use, and
+// slots past the length were never written since the last push.
+type sliceStack[T any] [][]T
+
+// pop returns a pooled slice, or nil when there is none.
+func (s *sliceStack[T]) pop() []T {
+	n := len(*s)
+	if n == 0 {
+		return nil
+	}
+	q := (*s)[n-1]
+	(*s)[n-1] = nil
+	*s = (*s)[:n-1]
+	return q
+}
+
+// push clears q, dropping what its slots reference to the GC, and pools it
+// empty.
+func (s *sliceStack[T]) push(q []T) {
+	clear(q)
+	*s = append(*s, q[:0])
+}
+
 // getPendQueue returns an empty pended-op slice with retained capacity, or
 // nil (append allocates one).
 func (p *Recycler) getPendQueue() []pendedOp {
-	if n := len(p.pends); n > 0 && !p.noRecycle {
-		q := p.pends[n-1]
-		p.pends[n-1] = nil
-		p.pends = p.pends[:n-1]
-		return q
+	if p.noRecycle {
+		return nil
 	}
-	return nil
+	return p.pends.pop()
 }
 
 func (p *Recycler) putPendQueue(q []pendedOp) {
 	if q == nil || p.noRecycle {
 		return
 	}
-	clear(q) // release op/done references
-	p.pends = append(p.pends, q[:0])
+	p.pends.push(q)
 }
 
 // getDirEntry materializes a home-side block entry (memory-owned default).
@@ -203,11 +275,7 @@ func (p *Recycler) getDirEntry() *dirEntry {
 		e.owner = MemoryOwner
 		return e
 	}
-	e := &dirEntry{state: MemOwner, owner: MemoryOwner}
-	if !p.noRecycle {
-		e.waiting = make([]memWait, 0, 4)
-	}
-	return e
+	return &dirEntry{state: MemOwner, owner: MemoryOwner}
 }
 
 // getApplyTask materializes a directory-apply task for one request.
@@ -232,14 +300,13 @@ func (p *Recycler) putApplyTask(t *dirApplyTask) {
 	p.applies = append(p.applies, t)
 }
 
-// putDirEntry zeroes an entry (keeping its waiting-slice capacity, dropping
-// parked packets to the GC) and returns it to the free list.
+// putDirEntry returns an entry's waiting list, if any (dropping parked
+// packets to the GC), zeroes the entry and returns it to the free list.
 func (p *Recycler) putDirEntry(e *dirEntry) {
 	if p.noRecycle {
 		return
 	}
-	waiting := e.waiting
-	clear(waiting)
-	*e = dirEntry{waiting: waiting[:0]}
+	p.putWaitList(e.waiting)
+	*e = dirEntry{}
 	p.entries = append(p.entries, e)
 }

@@ -369,8 +369,7 @@ func (m *SnoopMem) process(seq uint64, pkt *Packet) {
 			ev = EvMemPutMStale
 		}
 		m.tbl.Fire(e.state, ev)
-		m.env.Recycler.Retain(pkt)
-		e.waiting = append(e.waiting, memWait{seq: seq, pkt: pkt})
+		m.env.Recycler.wait(e, seq, pkt)
 		return
 	}
 	switch pkt.Kind {
@@ -434,17 +433,18 @@ func (m *SnoopMem) OnUnordered(pkt *Packet) {
 	e.completeWB(pkt.Value)
 	m.env.progress()
 	// Replay the deferred same-block work in arrival order. The waiting
-	// slice is truncated in place (capacity retained); an entry that
-	// re-parks — the replayed work re-enters MemWB — appends behind the
-	// read cursor, never overtaking it.
+	// list is detached first and pooled after: work that re-parks — the
+	// replayed work re-enters MemWB — takes a fresh list, so it queues
+	// behind this replay, never inside it.
 	waiting := e.waiting
-	e.waiting = e.waiting[:0]
+	e.waiting = nil
 	for i := range waiting {
 		w := waiting[i]
 		waiting[i] = memWait{}
 		m.process(w.seq, w.pkt)
 		m.env.Recycler.Release(w.pkt)
 	}
+	m.env.Recycler.putWaitList(waiting)
 }
 
 // HomeValue reports memory's copy and ownership for a block.

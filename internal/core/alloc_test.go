@@ -250,3 +250,54 @@ func TestZeroSteadyStateAllocsRollback(t *testing.T) {
 		})
 	}
 }
+
+// TestZeroSteadyStateAllocsDeferrals: under heavy same-block contention in
+// a cache far smaller than the lock pool, line records defer foreign
+// requests and homes park work behind writebacks, so deferral and waiting
+// lists are handed out throughout the measured rounds; they come from the
+// Recycler's pools, and the warmed System still allocates nothing.
+func TestZeroSteadyStateAllocsDeferrals(t *testing.T) {
+	for _, p := range []core.Protocol{core.Snooping, core.Directory, core.BASH} {
+		t.Run(p.String(), func(t *testing.T) {
+			sys := core.NewSystem(core.Config{
+				Protocol:     p,
+				Nodes:        16,
+				BandwidthMBs: 1600,
+				Cache:        cache.Config{Sets: 4, Ways: 2},
+				Seed:         11,
+			})
+			lk := workload.NewLocking(24, 0)
+			sys.AttachWorkload(func(network.NodeID) core.Workload { return lk })
+			sys.Start()
+			target := uint64(0)
+			cond := func() bool { return sys.TotalOps() >= target }
+			run := func() {
+				target += 2000
+				sys.Kernel.RunUntil(cond)
+			}
+			zeros := 0
+			for i := 0; i < 25 && zeros < 2; i++ {
+				if testing.AllocsPerRun(1, run) == 0 {
+					zeros++
+				} else {
+					zeros = 0
+				}
+			}
+			if zeros < 2 {
+				t.Fatal("hot path never became allocation-free: free lists still growing after 25 burn-in rounds")
+			}
+			rec := sys.Recycler()
+			defers, waits := rec.DeferLists, rec.WaitLists
+			if got := testing.AllocsPerRun(5, run); got != 0 {
+				t.Errorf("warmed contended %s System allocates %.2f times per round, want 0", p, got)
+			}
+			t.Logf("measured window: %d deferral lists, %d waiting lists", rec.DeferLists-defers, rec.WaitLists-waits)
+			if rec.DeferLists == defers {
+				t.Error("no deferral list was handed out in the measured window; the config does not exercise deferral")
+			}
+			if rec.WaitLists == waits {
+				t.Error("no waiting list was handed out in the measured window; the config does not exercise writeback waits")
+			}
+		})
+	}
+}
