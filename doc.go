@@ -177,7 +177,10 @@
 // The peer cell exchange makes the content-addressed store fleet-wide.
 // Workers advertise compact Bloom-filter indicators over their store keys
 // (paced and sized against DistWorkerOptions.AdvertBudget, deltas
-// preferred over full re-sends); the coordinator tables them per worker,
+// preferred over full re-sends), built from the entries' file names, which
+// are the keys' SHA-256 digests the filter hashes: a rebuild reads no entry
+// and keeps no per-entry state, and a corrupt entry stays advertised until
+// the lookup that finds it evicts it; the coordinator tables them per worker,
 // each entry living exactly as long as the wire connection that advertised
 // it, and marks each granted job with a likely-holder hint. Before simulating
 // a hinted cell, the worker fetches it — directly from an advertised

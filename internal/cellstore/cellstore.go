@@ -28,6 +28,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -70,11 +71,7 @@ var (
 type Store struct {
 	dir                  string
 	hits, misses, writes atomic.Uint64
-	evictions            atomic.Uint64 // defective entries removed by Get, plus GC removals
-
-	// keysMu guards keyCache, the per-file key memo behind Keys (raw.go).
-	keysMu   sync.Mutex
-	keyCache map[string]keyStamp
+	evictions            atomic.Uint64 // defective entries removed by Get and GetRaw, plus GC removals
 }
 
 // Open returns the store rooted at dir, creating the directory if needed.
@@ -110,21 +107,48 @@ func For(dir string) *Store {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
+// Digest is the SHA-256 of a cache key. It names the key's entry file, so
+// a store's digests can be listed from file names alone (see Digests).
+type Digest [sha256.Size]byte
+
+// KeyDigest returns key's digest.
+func KeyDigest(key string) Digest { return sha256.Sum256([]byte(key)) }
+
+// entryName is the file name of the entry whose key has digest d: the
+// digest in lowercase hex, then entryExt. The entry lives in the
+// subdirectory named by the name's first two digits.
+func entryName(d Digest) string { return hex.EncodeToString(d[:]) + entryExt }
+
+// parseEntryName inverts entryName; ok is false for every other name.
+func parseEntryName(name string) (d Digest, ok bool) {
+	var hx [2 * sha256.Size]byte
+	if len(name) != len(hx)+len(entryExt) || !strings.HasSuffix(name, entryExt) {
+		return d, false
+	}
+	copy(hx[:], name)
+	if _, err := hex.Decode(d[:], hx[:]); err != nil {
+		return d, false
+	}
+	// Only the lowercase spelling is an entry's name.
+	hex.Encode(hx[:], d[:])
+	return d, string(hx[:]) == name[:len(hx)]
+}
+
 // path maps a key to its file.
 func (s *Store) path(key string) string {
-	h := sha256.Sum256([]byte(key))
-	hx := hex.EncodeToString(h[:])
-	return filepath.Join(s.dir, hx[:2], hx+entryExt)
+	name := entryName(KeyDigest(key))
+	return filepath.Join(s.dir, name[:2], name)
 }
 
 // Get decodes the stored result for key into value and reports whether it
 // was present and intact. Any defect — absent file, foreign magic or format
 // version, colliding key, a value body its Target refuses — counts as a
-// miss, and the defective file is removed: with stores advertised to peers
-// (see Keys and the dist exchange), a poisoned entry left in place could be
-// re-served forever, whereas removal costs at most one re-simulation. The
-// removal can in principle race a concurrent Put refreshing the same path
-// and delete the fresh entry; that, too, only costs a future re-simulation.
+// miss, and the defective file is removed: stores are advertised to peers
+// from their file names (see Digests and the dist exchange), so a poisoned
+// entry left in place would be advertised forever, whereas removal costs
+// at most one re-simulation. The removal can in principle race a
+// concurrent Put refreshing the same path and delete the fresh entry;
+// that, too, only costs a future re-simulation.
 func (s *Store) Get(key string, value Target) bool {
 	path := s.path(key)
 	raw, err := os.ReadFile(path)
@@ -189,5 +213,5 @@ func (s *Store) Counters() (hits, misses, writes uint64) {
 }
 
 // Evictions reports the lifetime count of entries this process removed from
-// the store: defective files evicted by Get plus GC removals.
+// the store: defective files evicted by Get and GetRaw, plus GC removals.
 func (s *Store) Evictions() uint64 { return s.evictions.Load() }

@@ -171,7 +171,7 @@ func TestDefectiveEntriesEvicted(t *testing.T) {
 
 // TestLegacyEntryIgnored: a version-1 entry (a gob stream under the old
 // <hash>.gob name, captured from the previous format) is a Get miss, is not
-// advertised by Keys, and is removed by GC as stale.
+// listed by Digests, and is removed by GC as stale.
 func TestLegacyEntryIgnored(t *testing.T) {
 	legacy, err := os.ReadFile(filepath.Join("testdata", "format1.gob"))
 	if err != nil {
@@ -190,8 +190,8 @@ func TestLegacyEntryIgnored(t *testing.T) {
 	if st.Get(key, &out) {
 		t.Fatal("version-1 entry read as a hit")
 	}
-	if keys := st.Keys(); len(keys) != 0 {
-		t.Fatalf("version-1 entry advertised: %v", keys)
+	if ds := st.Digests(); len(ds) != 0 {
+		t.Fatalf("version-1 entry listed: %x", ds)
 	}
 	if err := VerifyRaw(key, legacy); err == nil {
 		t.Fatal("version-1 bytes verified as a current entry")

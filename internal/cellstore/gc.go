@@ -97,6 +97,10 @@ func (s *Store) GC(maxAge time.Duration) (GCResult, error) {
 // entryCurrent reports whether the file holds a parsable header with the
 // current format version.
 func entryCurrent(path string) bool {
-	_, ok := entryKey(path)
-	return ok
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return false
+	}
+	_, _, err = parseHeader(raw)
+	return err == nil
 }

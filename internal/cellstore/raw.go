@@ -3,8 +3,10 @@ package cellstore
 // Raw-entry access: the peer cell exchange (internal/dist) moves store
 // entries between machines as opaque byte blobs — the exact bytes a file
 // holds, header included — so a fetched cell installs with the same format
-// guarantees a locally written one has. Keys enumerates what a store
-// can serve, which is what a worker advertises to the fleet.
+// guarantees a locally written one has. Digests lists what a store holds,
+// from its file names alone, which is what a worker advertises to the
+// fleet: an entry is advertised with no per-entry state kept, and a corrupt
+// one stays advertised until the Get or GetRaw that finds it evicts it.
 //
 // The fingerprint contract: cache keys embed the binary fingerprint (see
 // Fingerprint and the callers' key formats), so a key match on the header
@@ -15,38 +17,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
-	"time"
 )
 
-// keyStamp memoizes one file's decoded key against its stat identity, so
-// repeated Keys scans (a worker re-advertising every second) decode only
-// files that changed since the last scan.
-type keyStamp struct {
-	key   string
-	size  int64
-	mtime time.Time
-}
-
-// Keys enumerates every current-format entry's key, sorted. Entries whose
-// header cannot be parsed, or that carry a foreign format version, are
-// skipped (they cannot be served, so they must not be advertised), and so
-// are version-1 .gob files. Results are cached per file against
-// size+mtime, so steady-state rescans cost one directory walk and zero
-// parses.
-func (s *Store) Keys() []string {
-	s.keysMu.Lock()
-	defer s.keysMu.Unlock()
-	if s.keyCache == nil {
-		s.keyCache = map[string]keyStamp{}
-	}
-	seen := map[string]bool{}
-	var keys []string
+// Digests lists the digest of every entry file in the store, in name
+// order, from file names alone: it walks the <hh> subdirectories and
+// decodes each <hex digest>.cell name whose first two digits name its
+// subdirectory (where Get would look for it). It reads no entry, stats no
+// file and keeps nothing between calls. Temp files, version-1 .gob files
+// and any other name are skipped. A corrupt or foreign-format .cell file
+// is listed until a Get or GetRaw evicts it: advertised to peers, it costs
+// at most one failed fetch, which the fetch path verifies and refuses.
+func (s *Store) Digests() []Digest {
 	subdirs, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil
 	}
+	var ds []Digest
 	for _, sub := range subdirs {
 		if !sub.IsDir() || len(sub.Name()) != 2 {
 			continue
@@ -56,49 +42,12 @@ func (s *Store) Keys() []string {
 			continue
 		}
 		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), entryExt) {
-				continue
-			}
-			path := filepath.Join(s.dir, sub.Name(), e.Name())
-			info, err := e.Info()
-			if err != nil {
-				continue
-			}
-			seen[path] = true
-			if st, ok := s.keyCache[path]; ok && st.size == info.Size() && st.mtime.Equal(info.ModTime()) {
-				if st.key != "" {
-					keys = append(keys, st.key)
-				}
-				continue
-			}
-			key, _ := entryKey(path)
-			s.keyCache[path] = keyStamp{key: key, size: info.Size(), mtime: info.ModTime()}
-			if key != "" {
-				keys = append(keys, key)
+			if d, ok := parseEntryName(e.Name()); ok && !e.IsDir() && e.Name()[:2] == sub.Name() {
+				ds = append(ds, d)
 			}
 		}
 	}
-	for path := range s.keyCache {
-		if !seen[path] {
-			delete(s.keyCache, path)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// entryKey parses one file's header and returns its key; ok is false when
-// the entry is not a servable current-format one.
-func entryKey(path string) (key string, ok bool) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return "", false
-	}
-	k, _, err := parseHeader(raw)
-	if err != nil {
-		return "", false
-	}
-	return string(k), true
+	return ds
 }
 
 // Contains reports whether an entry file exists for key without decoding
@@ -113,7 +62,8 @@ func (s *Store) Contains(key string) bool {
 // GetRaw returns the verbatim stored bytes for key — the whole entry,
 // header included — suitable for shipping to a peer and installing via
 // PutRaw. Like Get, any defect is a miss, and a corrupt or mismatched file
-// is removed so it cannot be re-advertised.
+// is removed (and counted in Evictions), which takes it out of the next
+// advert.
 func (s *Store) GetRaw(key string) ([]byte, bool) {
 	path := s.path(key)
 	raw, err := os.ReadFile(path)
@@ -122,7 +72,9 @@ func (s *Store) GetRaw(key string) ([]byte, bool) {
 		return nil, false
 	}
 	if VerifyRaw(key, raw) != nil {
-		os.Remove(path)
+		if os.Remove(path) == nil {
+			s.evictions.Add(1)
+		}
 		s.misses.Add(1)
 		return nil, false
 	}

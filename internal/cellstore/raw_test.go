@@ -1,46 +1,97 @@
 package cellstore
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
-// TestKeysEnumeratesServableEntries: Keys lists exactly the intact
-// current-format entries, sorted, and skips anything it could not serve.
-func TestKeysEnumeratesServableEntries(t *testing.T) {
+// TestDigestsListEntriesUntilEvicted: Digests lists one digest per stored
+// key, in name order, with no header read: a corrupt or foreign-format
+// entry is listed until the Get or GetRaw that finds it evicts it.
+func TestDigestsListEntriesUntilEvicted(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := Open(dir)
-	if got := st.Keys(); len(got) != 0 {
-		t.Fatalf("empty store Keys = %v, want none", got)
+	if got := st.Digests(); len(got) != 0 {
+		t.Fatalf("empty store Digests = %x, want none", got)
 	}
-	for i, k := range []string{"cell-b", "cell-a", "cell-c"} {
+	keys := []string{"cell-b", "cell-a", "cell-c"}
+	for i, k := range keys {
 		if err := st.Put(k, cell(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := st.Keys()
-	want := []string{"cell-a", "cell-b", "cell-c"}
-	if len(got) != len(want) {
-		t.Fatalf("Keys = %v, want %v", got, want)
+	want := make([]Digest, len(keys))
+	for i, k := range keys {
+		want[i] = KeyDigest(k)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Keys = %v, want %v", got, want)
-		}
-	}
-	// A second scan must serve from the stat cache and agree.
-	if again := st.Keys(); len(again) != len(want) {
-		t.Fatalf("cached Keys = %v, want %v", again, want)
+	slices.SortFunc(want, func(a, b Digest) int { return bytes.Compare(a[:], b[:]) })
+	if got := st.Digests(); !slices.Equal(got, want) {
+		t.Fatalf("Digests = %x, want %x", got, want)
 	}
 
-	// A corrupt entry and a foreign-format entry must not be advertised.
-	corrupt(t, dir, []byte("definitely not an entry"))
+	// A corrupt entry and a foreign-format entry are still listed: nothing
+	// reads them until a lookup does.
+	if err := os.WriteFile(st.path("cell-a"), []byte("definitely not an entry"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(st.path("cell-b"), foreignVersion(t, st, "cell-b"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got = st.Keys()
-	if len(got) != 1 {
-		t.Fatalf("Keys after corruption = %v, want exactly one survivor", got)
+	if got := st.Digests(); !slices.Equal(got, want) {
+		t.Fatalf("Digests after corruption = %x, want the unchanged %x", got, want)
+	}
+	var out record
+	if st.Get("cell-a", &out) {
+		t.Fatal("corrupt entry read as a hit")
+	}
+	if _, ok := st.GetRaw("cell-b"); ok {
+		t.Fatal("foreign-format entry served raw")
+	}
+	if got := st.Digests(); len(got) != 1 || got[0] != KeyDigest("cell-c") {
+		t.Fatalf("Digests after eviction = %x, want only cell-c's", got)
+	}
+}
+
+// TestDigestsListsEntryNamesOnly: Digests decodes exactly the
+// <hh>/<64 lowercase hex>.cell names and skips every other file or
+// directory a store directory can hold.
+func TestDigestsListsEntryNamesOnly(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := Open(dir)
+	st.Put("kept", cell(1))
+	d := KeyDigest("kept")
+	name := entryName(d)
+	hh := filepath.Join(dir, name[:2])
+	other := entryName(KeyDigest("other"))
+	touch := func(path string) {
+		t.Helper()
+		os.MkdirAll(filepath.Dir(path), 0o755)
+		if err := os.WriteFile(path, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	touch(filepath.Join(hh, ".tmp-123"))
+	touch(filepath.Join(hh, name[:len(name)-len(entryExt)]+legacyExt))
+	touch(filepath.Join(dir, "manifest.json"))
+	touch(filepath.Join(hh, "zz"+name[2:]))                       // non-hex
+	touch(filepath.Join(hh, strings.ToUpper(name[:64])+entryExt)) // not the lowercase spelling
+	touch(filepath.Join(hh, name[:62]+entryExt))                  // too short
+	touch(filepath.Join(hh, name[:64]+"00"+entryExt))             // too long
+	touch(filepath.Join(dir, name))                               // outside any <hh>
+	touch(filepath.Join(dir, "abc", name))                        // three-letter subdirectory
+	touch(filepath.Join(hh, other))                               // in the wrong <hh>
+	os.MkdirAll(filepath.Join(dir, other[:2], other), 0o755)      // a directory, not a file
+	os.MkdirAll(filepath.Join(dir, "zz"), 0o755)                  // stray empty subdirectory
+	touch(filepath.Join(dir, "ab"))                               // a file where a <hh> would be
+	if got := st.Digests(); len(got) != 1 || got[0] != d {
+		t.Fatalf("Digests = %x, want exactly %x", got, d)
+	}
+	if got, ok := parseEntryName(name); !ok || got != d {
+		t.Fatalf("parseEntryName(entryName(d)) = %x, %v", got, ok)
 	}
 }
 
@@ -127,8 +178,8 @@ func TestGetRemovesPoisonedEntries(t *testing.T) {
 		if _, err := os.Stat(st.path("k")); !os.IsNotExist(err) {
 			t.Fatal("Get left the poisoned file in place")
 		}
-		if got := st.Keys(); len(got) != 0 {
-			t.Fatalf("poisoned entry still advertised: %v", got)
+		if got := st.Digests(); len(got) != 0 {
+			t.Fatalf("poisoned entry still listed: %x", got)
 		}
 	})
 	t.Run("getraw", func(t *testing.T) {
@@ -141,6 +192,12 @@ func TestGetRemovesPoisonedEntries(t *testing.T) {
 		}
 		if _, err := os.Stat(st.path("k")); !os.IsNotExist(err) {
 			t.Fatal("GetRaw left the poisoned file in place")
+		}
+		if st.Evictions() != 1 {
+			t.Fatalf("evictions = %d, want 1", st.Evictions())
+		}
+		if got := st.Digests(); len(got) != 0 {
+			t.Fatalf("poisoned entry still listed: %x", got)
 		}
 	})
 	t.Run("truncated-value", func(t *testing.T) {

@@ -283,10 +283,9 @@ func (c *ctrlCore) line(addr Addr) *line {
 }
 
 // release drops a line record if it holds nothing, recycling it. It is
-// idempotent: a line can reach here twice (a deferred replay may release
-// inside the loop, and replayDeferred releases once more at the end), so
-// only the call that actually removes the record from the table recycles it —
-// a double push onto the free list would hand one record to two blocks.
+// idempotent: only the call that actually removes the record from the
+// table recycles it — a double push onto the free list would hand one
+// record to two blocks.
 func (c *ctrlCore) release(l *line) {
 	if l.state == Invalid && l.txn == nil && len(l.deferred) == 0 {
 		if c.lines.get(l.addr) == l {
@@ -542,23 +541,30 @@ func (c *ctrlCore) defer_(l *line, seq uint64, pkt *Packet) {
 // The list is detached from the record before the replay and pooled after
 // it: a replayed instance may release the record, which recycles it (and
 // would pool an attached list mid-replay), and one that re-defers takes a
-// fresh list.
+// fresh list. Once a replayed instance has released the record, the block
+// has no record left and the later instances have nothing to apply to (as
+// on direct delivery to a block without one): they are only released, and
+// the recycled record is not released again.
 func (c *ctrlCore) replayDeferred(l *line, effSeq uint64) {
 	defs := l.deferred
 	if len(defs) == 0 {
 		return
 	}
 	l.deferred = nil
+	addr, live := l.addr, true
 	for i := range defs {
 		d := defs[i]
 		defs[i] = deferredMsg{}
-		if d.seq > effSeq {
+		if live && d.seq > effSeq {
 			c.ops.foreign(l, d.seq, d.pkt)
+			live = c.lines.get(addr) == l
 		}
 		c.env.Recycler.Release(d.pkt)
 	}
 	c.env.Recycler.putDeferList(defs)
-	c.release(l)
+	if live {
+		c.release(l)
+	}
 }
 
 // respondData supplies the block to a requestor: the cache takes CacheAccess

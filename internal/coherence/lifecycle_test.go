@@ -306,6 +306,59 @@ func TestPoisonedReuse(t *testing.T) {
 	}
 }
 
+// releasingOps is a protoOps whose every foreign instance leaves the block
+// Invalid and releases its record, and which fails the test when an
+// instance is applied to a record no longer in the line table.
+type releasingOps struct {
+	t     *testing.T
+	c     *ctrlCore
+	addr  Addr
+	calls int
+}
+
+func (o *releasingOps) issueDemand(*line, *txn) {}
+func (o *releasingOps) issueWB(*line, *txn)     {}
+
+func (o *releasingOps) foreign(l *line, seq uint64, _ *Packet) {
+	o.calls++
+	if o.c.lines.get(o.addr) != l {
+		o.t.Errorf("instance %d applied to a record no longer in the line table", seq)
+	}
+	l.state = Invalid
+	o.c.release(l)
+}
+
+// TestReplayStopsAtReleasedRecord: once a replayed instance releases the
+// line record, replayDeferred applies no further instance to it, yet still
+// releases every parked packet, pools the list, and recycles the record
+// exactly once.
+func TestReplayStopsAtReleasedRecord(t *testing.T) {
+	rec := NewRecycler()
+	var c ctrlCore
+	ops := &releasingOps{t: t, c: &c, addr: 5}
+	c.init(Env{Kernel: sim.NewKernel(), Recycler: rec}, ops, NewTable("replay"), cache.Config{Sets: 1, Ways: 1})
+	l := c.line(ops.addr)
+	for seq := uint64(1); seq <= 3; seq++ {
+		pkt := rec.Get()
+		pkt.refs = 1 // the delivery's reference
+		c.defer_(l, seq, pkt)
+		rec.Release(pkt) // the delivery ends; the deferral's reference remains
+	}
+	c.replayDeferred(l, 0)
+	if ops.calls != 1 {
+		t.Errorf("foreign applied %d times, want 1 (the record is gone after the first)", ops.calls)
+	}
+	if rec.Live() != 0 {
+		t.Errorf("%d parked packets were never released", rec.Live())
+	}
+	if len(rec.defers) != 1 {
+		t.Errorf("%d deferral lists pooled, want 1", len(rec.defers))
+	}
+	if len(rec.lines) != 1 {
+		t.Errorf("%d line records recycled, want 1", len(rec.lines))
+	}
+}
+
 // TestPacketDoubleReleasePanics: releasing a packet past its last reference
 // panics with a descriptive message rather than corrupting the free list.
 func TestPacketDoubleReleasePanics(t *testing.T) {

@@ -96,8 +96,8 @@ func (x *exchange) forget(worker string, conn *wireConn) {
 }
 
 // holders lists workers (excluding the requester) whose indicators claim
-// key, most recently advertised first.
-func (x *exchange) holders(requester, key string) []string {
+// the key with digest d, most recently advertised first.
+func (x *exchange) holders(requester string, d cellstore.Digest) []string {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	type cand struct {
@@ -106,7 +106,7 @@ func (x *exchange) holders(requester, key string) []string {
 	}
 	var cands []cand
 	for name, e := range x.table {
-		if name != requester && e.filter.contains(key) {
+		if name != requester && e.filter.contains(d) {
 			cands = append(cands, cand{name, e.when})
 		}
 	}
@@ -116,25 +116,6 @@ func (x *exchange) holders(requester, key string) []string {
 		out[i] = c.name
 	}
 	return out
-}
-
-// likelyHeld is the grant-hint predicate: the coordinator's own store has
-// the key, or some other worker's indicator claims it. A worker
-// whose hint is false skips the fetch round-trip entirely (nobody claims
-// the cell, so fetching could only waste the advert budget's savings); a
-// false positive here costs one failed fetch before simulating.
-func (x *exchange) likelyHeld(requester, key string) bool {
-	if x.store != nil && x.store.Contains(key) {
-		return true
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	for name, e := range x.table {
-		if name != requester && e.filter.contains(key) {
-			return true
-		}
-	}
-	return false
 }
 
 // advertRPC records one worker's ADVERT frame, received on conn. Adverts
@@ -153,17 +134,20 @@ const maxGrantAddrs = 2
 
 // annotateHints marks each granted job with the exchange's likely-holder
 // verdict and, for held jobs, the peer addresses of the advertised holders
-// that serve peers (freshest first) for the direct data path. The lookups
-// run outside the coordinator mutex: Contains stats the store's filesystem
-// and the indicator table has its own lock; c.mu is taken once, for the
-// peer addresses.
+// that serve peers (freshest first) for the direct data path. A job is
+// held when the coordinator's own store has the key or some other
+// worker's indicator claims it. A worker whose hint is false skips the
+// fetch round-trip entirely (nobody claims the cell, so fetching could only
+// waste the advert budget's savings); a false positive costs one failed
+// fetch before simulating. Each key is hashed once for the whole indicator
+// table. The lookups run outside the coordinator mutex: Contains stats the
+// store's filesystem and the indicator table has its own lock; c.mu is
+// taken once, for the peer addresses.
 func (c *Coordinator) annotateHints(worker string, jobs []leasedJob) {
 	holders := make([][]string, len(jobs))
 	for i := range jobs {
-		jobs[i].Held = c.exch.likelyHeld(worker, jobs[i].Key)
-		if jobs[i].Held {
-			holders[i] = c.exch.holders(worker, jobs[i].Key)
-		}
+		holders[i] = c.exch.holders(worker, cellstore.KeyDigest(jobs[i].Key))
+		jobs[i].Held = len(holders[i]) > 0 || c.exch.store != nil && c.exch.store.Contains(jobs[i].Key)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -196,7 +180,7 @@ func (c *Coordinator) fetchRPC(ctx context.Context, req fetchRequest) fetchRespo
 			return fetchResponse{Found: true, Raw: raw}
 		}
 	}
-	for _, holder := range x.holders(req.Worker, req.Key) {
+	for _, holder := range x.holders(req.Worker, cellstore.KeyDigest(req.Key)) {
 		wc := c.wireConnFor(holder)
 		if wc == nil {
 			continue

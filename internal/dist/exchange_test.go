@@ -23,21 +23,39 @@ import (
 
 // --- indicator ----------------------------------------------------------
 
+// digestsOf returns the digests of keys, which is what a filter is built
+// from.
+func digestsOf(keys ...string) []cellstore.Digest {
+	ds := make([]cellstore.Digest, len(keys))
+	for i, k := range keys {
+		ds[i] = cellstore.KeyDigest(k)
+	}
+	return ds
+}
+
+// claims reports whether f may hold key.
+func claims(f *cellFilter, key string) bool { return f.contains(cellstore.KeyDigest(key)) }
+
+// claimed reports whether some indicator other than requester's claims key.
+func claimed(x *exchange, requester, key string) bool {
+	return len(x.holders(requester, cellstore.KeyDigest(key))) > 0
+}
+
 func TestFilterMembership(t *testing.T) {
 	keys := make([]string, 200)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("cell-key-%04d", i)
 	}
-	f := buildFilter(keys, defaultBitsPerKey)
+	f := buildFilter(digestsOf(keys...), defaultBitsPerKey)
 	for _, k := range keys {
-		if !f.contains(k) {
+		if !claims(f, k) {
 			t.Fatalf("filter lost its own key %q (Bloom filters must not false-negative)", k)
 		}
 	}
 	// False positives exist but must be rare at the default density.
 	fp := 0
 	for i := 0; i < 2000; i++ {
-		if f.contains(fmt.Sprintf("absent-key-%04d", i)) {
+		if claims(f, fmt.Sprintf("absent-key-%04d", i)) {
 			fp++
 		}
 	}
@@ -45,20 +63,20 @@ func TestFilterMembership(t *testing.T) {
 		t.Errorf("false-positive rate %d/2000 is far above the design point", fp)
 	}
 	var nilFilter *cellFilter
-	if nilFilter.contains("anything") {
+	if claims(nilFilter, "anything") {
 		t.Error("nil filter claimed membership")
 	}
-	if buildFilter(nil, defaultBitsPerKey).contains("anything") {
+	if claims(buildFilter(nil, defaultBitsPerKey), "anything") {
 		t.Error("empty filter claimed membership")
 	}
 }
 
 func TestFilterDelta(t *testing.T) {
 	keys := []string{"a", "b", "c"}
-	old := buildFilter(keys, defaultBitsPerKey)
+	old := buildFilter(digestsOf(keys...), defaultBitsPerKey)
 	grown := old.clone()
-	grown.add("d")
-	grown.add("e")
+	grown.add(cellstore.KeyDigest("d"))
+	grown.add(cellstore.KeyDigest("e"))
 	if !grown.sameShape(old) {
 		t.Fatal("clone+add changed filter shape")
 	}
@@ -100,7 +118,7 @@ func TestBudgetAdaptation(t *testing.T) {
 
 func TestNoteAdvertFullDeltaAndGaps(t *testing.T) {
 	x := newExchange("")
-	f := buildFilter([]string{"k1", "k2"}, defaultBitsPerKey)
+	f := buildFilter(digestsOf("k1", "k2"), defaultBitsPerKey)
 	conn := &wireConn{worker: "w"}
 
 	// A delta with no prior full must be refused.
@@ -110,20 +128,20 @@ func TestNoteAdvertFullDeltaAndGaps(t *testing.T) {
 	if !x.noteAdvert(advertRequest{Worker: "w", Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits}, 10, conn) {
 		t.Fatal("full advert refused")
 	}
-	if !x.likelyHeld("other", "k1") {
+	if !claimed(x, "other", "k1") {
 		t.Fatal("advertised key not reported held")
 	}
-	if x.likelyHeld("w", "k1") {
+	if claimed(x, "w", "k1") {
 		t.Fatal("a worker's own indicator satisfied its hint (it would fetch from itself)")
 	}
 
 	// A gen-successor, same-shape delta on the owning connection applies.
 	grown := f.clone()
-	grown.add("k3")
+	grown.add(cellstore.KeyDigest("k3"))
 	if !x.noteAdvert(advertRequest{Worker: "w", Gen: 2, M: f.m, K: f.k, Bits: grown.xor(f)}, 10, conn) {
 		t.Fatal("successor delta refused")
 	}
-	if !x.likelyHeld("other", "k3") {
+	if !claimed(x, "other", "k3") {
 		t.Fatal("delta-advertised key not reported held")
 	}
 
@@ -140,14 +158,14 @@ func TestNoteAdvertFullDeltaAndGaps(t *testing.T) {
 	// reconnect's fresh advert survives the old connection's teardown);
 	// retiring the owner drops it, and it neither hints nor routes.
 	x.forget("w", &wireConn{worker: "w"})
-	if !x.likelyHeld("other", "k1") {
+	if !claimed(x, "other", "k1") {
 		t.Fatal("a foreign connection's retirement dropped the indicator")
 	}
 	x.forget("w", conn)
-	if x.likelyHeld("other", "k1") {
+	if claimed(x, "other", "k1") {
 		t.Fatal("retired connection's indicator satisfied a hint")
 	}
-	if hs := x.holders("other", "k1"); len(hs) != 0 {
+	if hs := x.holders("other", cellstore.KeyDigest("k1")); len(hs) != 0 {
 		t.Fatalf("retired connection's indicator routed: holders = %v", hs)
 	}
 
@@ -161,7 +179,7 @@ func TestNoteAdvertFullDeltaAndGaps(t *testing.T) {
 
 func TestHoldersFreshestFirst(t *testing.T) {
 	x := newExchange("")
-	f := buildFilter([]string{"k"}, defaultBitsPerKey)
+	f := buildFilter(digestsOf("k"), defaultBitsPerKey)
 	for i, w := range []string{"old", "mid", "new"} {
 		x.noteAdvert(advertRequest{Worker: w, Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits}, 1, nil)
 		x.mu.Lock()
@@ -169,11 +187,11 @@ func TestHoldersFreshestFirst(t *testing.T) {
 		x.table[w].when = time.Now().Add(time.Duration(i) * time.Second)
 		x.mu.Unlock()
 	}
-	hs := x.holders("requester", "k")
+	hs := x.holders("requester", cellstore.KeyDigest("k"))
 	if len(hs) != 3 || hs[0] != "new" || hs[2] != "old" {
 		t.Fatalf("holders = %v, want [new mid old]", hs)
 	}
-	if hs := x.holders("new", "k"); len(hs) != 2 || hs[0] != "mid" {
+	if hs := x.holders("new", cellstore.KeyDigest("k")); len(hs) != 2 || hs[0] != "mid" {
 		t.Fatalf("holders excluding requester = %v, want [mid old]", hs)
 	}
 }
@@ -201,7 +219,7 @@ func (p *cellPayload) DecodeCell(src []byte) error {
 }
 
 // storeWith creates a cell store in a temp dir holding the given keys.
-func storeWith(t *testing.T, keys ...string) (string, *cellstore.Store) {
+func storeWith(t testing.TB, keys ...string) (string, *cellstore.Store) {
 	t.Helper()
 	dir := t.TempDir()
 	st, err := cellstore.Open(dir)
@@ -314,7 +332,7 @@ func TestFetchFalsePositiveFallsThrough(t *testing.T) {
 
 	// Overwrite the worker's honest (empty) indicator with an all-claiming
 	// one — a phantom advertisement no connection owns.
-	f := buildFilter([]string{"x"}, defaultBitsPerKey)
+	f := buildFilter(digestsOf("x"), defaultBitsPerKey)
 	for i := range f.bits {
 		f.bits[i] = 0xFF
 	}

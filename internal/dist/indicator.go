@@ -1,8 +1,8 @@
 package dist
 
 // Cell-store membership indicators: compact Bloom filters workers advertise
-// over their cellstore keys so the coordinator can route fetches to likely
-// holders instead of letting every cold worker re-simulate. The design
+// over their cellstore entries so the coordinator can route fetches to
+// likely holders instead of letting every cold worker re-simulate. The design
 // follows the cache-indicator literature the paper's bandwidth-adaptivity
 // idea comes from: a filter answers "might this peer hold key K" with a
 // tunable false-positive rate, and its size (bits per key) plus refresh
@@ -12,14 +12,21 @@ package dist
 //
 // Hashing is double hashing over SHA-256(key): deterministic across
 // processes and builds, so any worker's filter is meaningful to any
-// coordinator. Filter capacity grows in powers of two, so a steadily
-// growing store keeps one filter geometry for a while and deltas (XOR of
-// bit arrays, sent when geometry and generation line up) stay small.
+// coordinator. That digest is also the entry's file name in the store
+// (cellstore.KeyDigest), so a worker builds its filter from a directory
+// listing (cellstore.Store.Digests): no entry is read and nothing is kept
+// per entry between rebuilds, and a corrupt entry stays advertised until a
+// lookup evicts it, at the cost of one failed fetch. A coordinator hashes
+// a granted key once and probes every table entry with that digest.
+// Filter capacity grows in powers of two, so a steadily growing store keeps
+// one filter geometry for a while and deltas (XOR of bit arrays, sent when
+// geometry and generation line up) stay small.
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
+
+	"repro/internal/cellstore"
 )
 
 // Filter geometry bounds.
@@ -39,18 +46,17 @@ const (
 	maxFilterHashes   = 16
 )
 
-// cellFilter is one Bloom filter over store keys.
+// cellFilter is one Bloom filter over store key digests.
 type cellFilter struct {
 	m    uint32 // bits
 	k    uint8  // hash functions
 	bits []byte // (m+7)/8 bytes
 }
 
-// filterHashes derives the two double-hashing bases for key.
-func filterHashes(key string) (h1, h2 uint64) {
-	sum := sha256.Sum256([]byte(key))
-	h1 = binary.BigEndian.Uint64(sum[0:8])
-	h2 = binary.BigEndian.Uint64(sum[8:16])
+// filterHashes derives the two double-hashing bases from a key's digest.
+func filterHashes(d cellstore.Digest) (h1, h2 uint64) {
+	h1 = binary.BigEndian.Uint64(d[0:8])
+	h2 = binary.BigEndian.Uint64(d[8:16])
 	// An even h2 would cycle over a fraction of a power-of-two m.
 	h2 |= 1
 	return h1, h2
@@ -78,31 +84,39 @@ func filterBits(n, bitsPerKey int) uint32 {
 	return m
 }
 
-// buildFilter constructs a filter over keys at the given bits-per-key.
-func buildFilter(keys []string, bitsPerKey int) *cellFilter {
-	f := &cellFilter{m: filterBits(len(keys), bitsPerKey), k: hashCount(bitsPerKey)}
+// buildFilter constructs a filter over key digests at the given
+// bits-per-key.
+func buildFilter(ds []cellstore.Digest, bitsPerKey int) *cellFilter {
+	f := &cellFilter{m: filterBits(len(ds), bitsPerKey), k: hashCount(bitsPerKey)}
 	f.bits = make([]byte, (f.m+7)/8)
-	for _, key := range keys {
-		f.add(key)
+	for _, d := range ds {
+		f.add(d)
 	}
 	return f
 }
 
-func (f *cellFilter) add(key string) {
-	h1, h2 := filterHashes(key)
+// storeFilter is one advert rebuild: the filter over st's entries, at the
+// density that fits budget.
+func storeFilter(st *cellstore.Store, budget int) *cellFilter {
+	ds := st.Digests()
+	return buildFilter(ds, budgetBitsPerKey(len(ds), budget))
+}
+
+func (f *cellFilter) add(d cellstore.Digest) {
+	h1, h2 := filterHashes(d)
 	for i := uint8(0); i < f.k; i++ {
 		idx := (h1 + uint64(i)*h2) % uint64(f.m)
 		f.bits[idx>>3] |= 1 << (idx & 7)
 	}
 }
 
-// contains reports whether key may be in the set (false positives possible,
-// false negatives not).
-func (f *cellFilter) contains(key string) bool {
+// contains reports whether the key with digest d may be in the set (false
+// positives possible, false negatives not).
+func (f *cellFilter) contains(d cellstore.Digest) bool {
 	if f == nil || f.m == 0 {
 		return false
 	}
-	h1, h2 := filterHashes(key)
+	h1, h2 := filterHashes(d)
 	for i := uint8(0); i < f.k; i++ {
 		idx := (h1 + uint64(i)*h2) % uint64(f.m)
 		if f.bits[idx>>3]&(1<<(idx&7)) == 0 {

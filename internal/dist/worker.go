@@ -320,8 +320,7 @@ func (w *worker) advertise(ctx context.Context) {
 		case <-timer.C:
 		}
 		delay := w.opt.advertInterval()
-		keys := w.store.Keys()
-		f := buildFilter(keys, budgetBitsPerKey(len(keys), w.opt.AdvertBudget))
+		f := storeFilter(w.store, w.opt.AdvertBudget)
 		if last == nil || !f.equal(last) {
 			if sent, err := w.tr.Advert(ctx, f); err == nil {
 				last = f
