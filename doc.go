@@ -83,7 +83,15 @@
 // clearing and installing again, so a sweep that runs one workload across
 // bandwidths or broadcast costs pays per lease for the blocks each run
 // touched, not for the thousands it preheats. Either way a leased System
-// equals a fresh one built with the same Config.
+// equals a fresh one built with the same Config. The System compares
+// Preheat against its own reused copy of the installed list, so callers
+// may share or change their lists; the experiments share one list per
+// workload shape across every cell.
+//
+// A System also owns its Processors: AttachWorkload builds one per node
+// the first time and rebinds and re-seeds the same records after that. A
+// warm lease, attach and measure allocate only the workload generator and
+// its per-node cursors.
 //
 // # The allocation lifecycle contract
 //
@@ -104,9 +112,12 @@
 //     replays or their record dies, directory entries and everything
 //     still live at System.Reset — which drains records into the free
 //     lists rather than freeing them, so pooled reuse keeps the warmed
-//     capacity. Packets still parked at Reset are dropped to the GC (a
-//     parked packet may be shared by several nodes; recycling it twice
-//     would corrupt the pool).
+//     capacity. Records a run left in flight come back too: the network
+//     lists every task and Message it handed out, and the Recycler every
+//     packet and directory-apply task, and once the kernel and the
+//     controllers are reset Network.Reset and Recycler.Reclaim return all
+//     of them at once. A packet parked at several nodes has no single
+//     owner to release it; Reclaim takes it back once, with the rest.
 //   - Config.NoRecycle disables all of it (fresh allocation everywhere,
 //     reference counting still checked) for byte-for-byte comparison runs;
 //     results are identical either way.

@@ -3,6 +3,7 @@ package cellstore
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -216,5 +217,74 @@ func TestForMemoizes(t *testing.T) {
 	a, b := For(dir), For(dir)
 	if a == nil || a != b {
 		t.Fatal("For should memoize per directory")
+	}
+}
+
+// TestPutMakesEntryDirectory: a Put into a fresh store creates the entry's
+// <hh>/ directory, and so does one whose store directory was removed after
+// Open; both entries read back.
+func TestPutMakesEntryDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("k1", cell(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("k2", cell(2)); err != nil {
+		t.Fatalf("Put after the store directory was removed: %v", err)
+	}
+	var out record
+	if !st.Get("k2", &out) || out != cell(2) {
+		t.Fatalf("k2 did not read back: %+v", out)
+	}
+	if _, err := os.Stat(filepath.Dir(st.path("k2"))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentPutsShareNewDirectory: two Puts racing to create the same
+// new <hh>/ directory both succeed and both entries read back.
+func TestConcurrentPutsShareNewDirectory(t *testing.T) {
+	// Two keys whose entries share a directory.
+	byDir := map[string]string{}
+	var k1, k2 string
+	for i := 0; k2 == ""; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		d := entryName(KeyDigest(k))[:2]
+		if prev, ok := byDir[d]; ok {
+			k1, k2 = prev, k
+		}
+		byDir[d] = k
+	}
+	for round := 0; round < 20; round++ {
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make(chan error, 2)
+		start := make(chan struct{})
+		for i, k := range []string{k1, k2} {
+			go func() {
+				<-start
+				errs <- st.Put(k, cell(uint64(i)))
+			}()
+		}
+		close(start)
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: concurrent Put: %v", round, err)
+			}
+		}
+		for i, k := range []string{k1, k2} {
+			var out record
+			if !st.Get(k, &out) || out != cell(uint64(i)) {
+				t.Fatalf("round %d: %s did not read back: %+v", round, k, out)
+			}
+		}
 	}
 }

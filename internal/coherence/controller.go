@@ -135,8 +135,9 @@ func (c *ctrlCore) init(env Env, ops protoOps, tbl *Table, arrayCfg cache.Config
 // keeps its declarations (coverage is cleared), and live line/txn records
 // drain into the free lists rather than being freed, so the warmed
 // capacity carries into the next run. Packets still parked on deferred
-// lists are dropped for the garbage collector, never recycled — the same
-// packet may be parked at several nodes. The environment — kernel,
+// lists are only dropped here — the same packet may be parked at several
+// nodes — and Recycler.Reclaim takes them back once every controller has
+// been reset. The environment — kernel,
 // network, identity, checker, progress hook — is structural and survives
 // unchanged. Reset walks every live record and ends any checkpoint.
 func (c *ctrlCore) Reset() {

@@ -55,7 +55,7 @@ func newDirState(rec *Recycler) *dirState {
 
 // reset returns every block to clean-at-memory, keeping the table's slot
 // arrays and draining the live entries and their waiting lists into the
-// recycler (parked packets dropped to the GC) so the next run
+// recycler (parked packets dropped, for Recycler.Reclaim) so the next run
 // materializes its working set without allocating. It ends any checkpoint.
 func (d *dirState) reset() {
 	for _, e := range d.blocks.vals {

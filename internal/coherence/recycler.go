@@ -31,11 +31,13 @@ import "fmt"
 //     protocol-lifecycle bug, surfaced loudly); the release that drops the
 //     last reference zeroes the Packet and returns it to the free list.
 //
-// Reset-time orphans are deliberate: when a System is Reset mid-flight, any
-// packet still scheduled, deferred or waiting is dropped with the kernel's
-// event queue and garbage-collected — never returned to the free list, since
-// the same packet may be parked at several nodes. The free lists themselves
-// survive Reset, which is what keeps a warmed pooled System allocation-free.
+// A run abandoned mid-flight leaves packets out: still scheduled, deferred
+// or waiting, possibly at several nodes at once, so no single holder can
+// release them. Reclaim takes them all back at once: the Recycler keeps a
+// list of every packet and directory-apply task it has handed out, and
+// once the kernel and every controller have been reset nothing else refers
+// to them. The free lists survive Reset, which is what keeps a warmed
+// pooled System allocation-free.
 //
 // SetRecycle(false) is the escape hatch: reference counting (and its
 // double-release check) stays on, but every get allocates and nothing is
@@ -45,6 +47,12 @@ import "fmt"
 type Recycler struct {
 	free      []*Packet
 	noRecycle bool
+
+	// allPackets and allApplies list every packet and directory-apply
+	// task the free lists ever handed out (recycling runs only), for
+	// Reclaim.
+	allPackets []*Packet
+	allApplies []*dirApplyTask
 
 	lines   []*line
 	txns    []*txn
@@ -72,13 +80,31 @@ type Recycler struct {
 // NewRecycler returns an empty recycler with recycling enabled.
 func NewRecycler() *Recycler { return &Recycler{} }
 
-// SetRecycle toggles free-list reuse; see the type comment. It also rebases
-// the live-packet counter, since callers flip it only at run boundaries
-// (core.System wiring), where any still-referenced packet is an orphan of
-// the previous run.
-func (p *Recycler) SetRecycle(on bool) {
-	p.noRecycle = !on
+// SetRecycle toggles free-list reuse; see the type comment. Callers flip
+// it only at run boundaries (core.System wiring).
+func (p *Recycler) SetRecycle(on bool) { p.noRecycle = !on }
+
+// Reclaim returns every packet and directory-apply task still out to the
+// free lists, zeroed, and sets Live to 0. It is for run boundaries only:
+// the kernel (which drops pending events) and every controller sharing
+// the Recycler (which drop parked packets) must have been reset first, so
+// that nothing refers to the records any more. After a drained run there
+// is nothing out and Reclaim only compares lengths. Records allocated
+// while recycling was off were never listed and are left to the GC.
+func (p *Recycler) Reclaim() {
 	p.live = 0
+	if len(p.free) != len(p.allPackets) {
+		for _, pkt := range p.allPackets {
+			*pkt = Packet{}
+		}
+		p.free = append(p.free[:0], p.allPackets...)
+	}
+	if len(p.applies) != len(p.allApplies) {
+		for _, t := range p.allApplies {
+			*t = dirApplyTask{}
+		}
+		p.applies = append(p.applies[:0], p.allApplies...)
+	}
 }
 
 // Recycling reports whether free-list reuse is enabled.
@@ -95,7 +121,11 @@ func (p *Recycler) Get() *Packet {
 		p.Reuses++
 		return pkt
 	}
-	return &Packet{}
+	pkt := &Packet{}
+	if !p.noRecycle {
+		p.allPackets = append(p.allPackets, pkt)
+	}
+	return pkt
 }
 
 // Retain adds a reference for a consumer that will hold the packet beyond
@@ -121,8 +151,7 @@ func (p *Recycler) Release(pkt *Packet) {
 }
 
 // Live reports packets handed out and not yet fully released. Zero after a
-// drained run; packets orphaned by a mid-flight Reset are excluded by the
-// SetRecycle rebase.
+// drained run, and after Reclaim.
 func (p *Recycler) Live() int { return p.live }
 
 // FreeLen reports the current packet free-list depth (tests/diagnostics).
@@ -165,8 +194,8 @@ func (p *Recycler) getDeferList(capHint int) []deferredMsg {
 	return make([]deferredMsg, 0, capHint)
 }
 
-// putDeferList pools a deferral list empty, dropping any parked packet to
-// the GC.
+// putDeferList pools a deferral list empty, dropping any parked packet
+// (for Reclaim).
 func (p *Recycler) putDeferList(q []deferredMsg) {
 	if q == nil || p.noRecycle {
 		return
@@ -186,8 +215,8 @@ func (p *Recycler) getWaitList() []memWait {
 	return make([]memWait, 0, waitListCap)
 }
 
-// putWaitList pools a waiting list empty, dropping any parked packet to
-// the GC.
+// putWaitList pools a waiting list empty, dropping any parked packet
+// (for Reclaim).
 func (p *Recycler) putWaitList(q []memWait) {
 	if q == nil || p.noRecycle {
 		return
@@ -288,7 +317,11 @@ func (p *Recycler) getApplyTask(m *DirMem, pkt *Packet) *dirApplyTask {
 		t.pkt = pkt
 		return t
 	}
-	return &dirApplyTask{m: m, pkt: pkt}
+	t := &dirApplyTask{m: m, pkt: pkt}
+	if !p.noRecycle {
+		p.allApplies = append(p.allApplies, t)
+	}
+	return t
 }
 
 func (p *Recycler) putApplyTask(t *dirApplyTask) {
@@ -301,7 +334,7 @@ func (p *Recycler) putApplyTask(t *dirApplyTask) {
 }
 
 // putDirEntry returns an entry's waiting list, if any (dropping parked
-// packets to the GC), zeroes the entry and returns it to the free list.
+// packets, for Reclaim), zeroes the entry and returns it to the free list.
 func (p *Recycler) putDirEntry(e *dirEntry) {
 	if p.noRecycle {
 		return

@@ -25,6 +25,12 @@ import "sync"
 // lease clears every record the previous run left and installs cfg's warm
 // set, which costs in proportion to its size.
 //
+// Once a System has run a shape's largest warm set, a lease allocates
+// nothing: Reset takes back every network task, Message and packet the
+// last run left in flight, and AttachWorkload rebinds the System's own
+// Processors. Pass one shared warm set per workload shape, as the
+// experiments do; the System compares it against its own copy.
+//
 // Pool is safe for concurrent use; each leased System remains
 // single-threaded, as all simulations are. The per-bucket free list is
 // bounded by MaxFreePerKey to cap retained memory when a sweep visits many

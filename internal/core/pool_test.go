@@ -126,3 +126,52 @@ func TestPoolReuse(t *testing.T) {
 		t.Errorf("stats = %d gets, %d builds, %d puts; want 3, 2, 3", gets, builds, puts)
 	}
 }
+
+// TestResetReclaimsAbandonedRun: a System abandoned mid-run, with packets
+// scheduled, parked and in flight, takes every packet back on Reset: Live
+// reads 0 and the free list holds every packet the Recycler has allocated.
+// The next run rebinds the same Processors and measures exactly what a
+// fresh System does.
+func TestResetReclaimsAbandonedRun(t *testing.T) {
+	for _, p := range []Protocol{Snooping, Directory, BASH} {
+		t.Run(p.String(), func(t *testing.T) {
+			cfg := Config{Protocol: p, Nodes: 8, BandwidthMBs: 800, Seed: 11, WatchdogInterval: 500_000_000}
+			want := measureCell(NewSystem(cfg))
+
+			sys := NewSystem(cfg)
+			lk := workload.NewLocking(64*8, 0)
+			for i, a := range lk.WarmBlocks() {
+				sys.PreheatOwned(a, network.NodeID(i%8), uint64(i)+1)
+			}
+			sys.AttachWorkload(func(network.NodeID) Workload { return lk })
+			sys.Start()
+			sys.Kernel.RunUntil(func() bool { return sys.TotalOps() >= 500 })
+			rec := sys.Recycler()
+			if rec.Live() == 0 {
+				t.Fatal("no packet was out when the run was abandoned")
+			}
+			procs := make([]*Processor, len(sys.Nodes))
+			for i, n := range sys.Nodes {
+				procs[i] = n.Proc
+			}
+
+			if err := sys.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if live := rec.Live(); live != 0 {
+				t.Errorf("Live = %d after Reset, want 0", live)
+			}
+			if free, made := uint64(rec.FreeLen()), rec.Gets-rec.Reuses; free != made {
+				t.Errorf("%d of the %d packets allocated are free after Reset", free, made)
+			}
+			if m := measureCell(sys); m != want {
+				t.Errorf("run after an abandoned one: %+v, fresh %+v", m, want)
+			}
+			for i, n := range sys.Nodes {
+				if n.Proc != procs[i] {
+					t.Errorf("node %d: AttachWorkload built a new Processor instead of rebinding its own", i)
+				}
+			}
+		})
+	}
+}

@@ -41,11 +41,23 @@ type Processor struct {
 
 // NewProcessor builds a processor for a node.
 func NewProcessor(sys *System, node *Node, gen Workload) *Processor {
-	seed := sys.cfg.Seed*1000003 + uint64(node.ID)*7919 + 17
-	p := &Processor{sys: sys, node: node, gen: gen, rng: sim.NewRNG(seed)}
+	p := &Processor{sys: sys, node: node, rng: sim.NewRNG(0)}
 	p.issueFn = p.issue
 	p.doneFn = p.opDone
+	p.bind(gen)
 	return p
+}
+
+// bind returns p to its freshly built state for gen and the system's
+// current seed: AttachWorkload rebinds a node's Processor this way on every
+// lease instead of building another.
+func (p *Processor) bind(gen Workload) {
+	p.gen = gen
+	p.rng.Reseed(p.sys.cfg.Seed*1000003 + uint64(p.node.ID)*7919 + 17)
+	p.stopped = false
+	p.pendingOp = coherence.Op{}
+	p.Completed = 0
+	p.ThinkTime = 0
 }
 
 // Start begins the fetch-execute loop.

@@ -223,3 +223,33 @@ func TestRollbackPoolDefaultGeometry(t *testing.T) {
 		pool.Put(leased)
 	}
 }
+
+// TestResetSeesWarmSetChangedInPlace: a caller that changes its warm-set
+// slice in place and passes it again gets a clearing Reset that installs
+// the new blocks, not a rollback to the old ones; passing the same,
+// unchanged slice again rolls back.
+func TestResetSeesWarmSetChangedInPlace(t *testing.T) {
+	warm := addrRange(0, 64)
+	cfg := core.Config{Protocol: core.BASH, Nodes: 8, BandwidthMBs: 1600, Cache: cache.Config{Sets: 16, Ways: 4}, Seed: 3, Preheat: warm}
+	sys := core.NewSystem(cfg)
+	for i := range warm {
+		warm[i] += 1000
+	}
+	before := core.Rollbacks(sys)
+	if err := sys.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if core.Rollbacks(sys) != before {
+		t.Fatal("Reset rolled back to a warm set the caller has since changed")
+	}
+	fresh := core.NewSystem(core.Config{Protocol: core.BASH, Nodes: 8, BandwidthMBs: 1600, Cache: cache.Config{Sets: 16, Ways: 4}, Seed: 3, Preheat: addrRange(1000, 64)})
+	if f, r := controllerState(fresh), controllerState(sys); f != r {
+		t.Fatalf("state differs from a fresh System's at %s", firstDiff(f, r))
+	}
+	if err := sys.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if core.Rollbacks(sys) != before+1 {
+		t.Fatal("Reset with the unchanged warm set did not roll back")
+	}
+}

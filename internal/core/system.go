@@ -94,6 +94,10 @@ type Config struct {
 	// not part of the structural key. A Reset whose Preheat equals the
 	// list already installed returns to it by undoing the previous run
 	// instead of clearing and installing again; see Reset.
+	//
+	// The System keeps its own copy to compare the next Reset's warm set
+	// against, so a caller may share one list across Systems and reuse or
+	// change it after the call.
 	Preheat []coherence.Addr
 }
 
@@ -149,8 +153,12 @@ type Node struct {
 	Cache    coherence.CacheController
 	Mem      coherence.MemController
 	Adaptive *adaptive.Adaptive // non-nil for Protocol BASH / BashSwitch
-	Proc     *Processor
-	sys      *System
+	// Proc is the attached processor, nil until AttachWorkload.
+	Proc *Processor
+	sys  *System
+	// proc is the node's Processor, kept across Resets for the next
+	// AttachWorkload to rebind.
+	proc *Processor
 }
 
 // DeliverOrdered implements network.Handler: both the cache and the memory
@@ -359,6 +367,9 @@ func (s *System) wire(cfg Config) {
 		}
 		n.Proc = nil
 	}
+	// The kernel and every controller have dropped their references to
+	// the last run's packets; take back those it left in flight.
+	s.packets.Reclaim()
 	s.cfg = cfg
 	s.trace = nil
 	s.traffic.reset()
@@ -405,6 +416,12 @@ func (s *System) wire(cfg Config) {
 // touched, including any PreheatOwned calls made after that lease — and
 // installs nothing. Otherwise, including whenever Preheat is empty, Reset
 // clears every record the last run left and installs the new warm set.
+//
+// A Reset allocates nothing once the System has grown to its workload.
+// The last run may have been abandoned in flight: the kernel drops its
+// pending events, the network takes back every task and Message, and the
+// Recycler every packet, so Recycler().Live() reads 0. The nodes'
+// Processors are detached but kept for AttachWorkload to rebind.
 func (s *System) Reset(cfg Config) error {
 	cfg = cfg.withDefaults()
 	if have, want := s.cfg.structuralKey(), cfg.structuralKey(); have != want {
@@ -439,10 +456,20 @@ func (s *System) PreheatOwned(a coherence.Addr, owner network.NodeID, token uint
 }
 
 // AttachWorkload gives every node a processor driven by the per-node
-// generator returned by gen.
+// generator returned by gen. The System owns its Processors: the first
+// attach builds one per node, and every later one — on this run or after a
+// Reset — rebinds and re-seeds the same records, which then equal freshly
+// built ones, so a pooled lease allocates none. Attach before Start: a
+// Processor rebound mid-run would still receive the events its previous
+// binding scheduled.
 func (s *System) AttachWorkload(gen func(id network.NodeID) Workload) {
 	for _, n := range s.Nodes {
-		n.Proc = NewProcessor(s, n, gen(n.ID))
+		if n.proc == nil {
+			n.proc = NewProcessor(s, n, gen(n.ID))
+		} else {
+			n.proc.bind(gen(n.ID))
+		}
+		n.Proc = n.proc
 	}
 }
 

@@ -149,7 +149,7 @@ func runCells(o Options, rcs []runConfig, label func(i int) string) []core.Metri
 		if err := gobDecode(outs[k], &m); err != nil {
 			panic(abort{fmt.Errorf("decode result of %s: %w", jobs[k].Label, err)})
 		}
-		ms[i] = storeCell(o, rcs[i], m)
+		ms[i] = storeCell(o, rcs[i], jobs[k].Key, m)
 	}
 	return ms
 }

@@ -279,8 +279,8 @@ func (rc runConfig) cacheKey() string {
 	if wd == 0 {
 		wd = defaultWatchdogInterval
 	}
-	b := make([]byte, 0, 256)
-	b = append(b, "bashsim-cell-v"...)
+	var buf [256]byte
+	b := append(buf[:0], "bashsim-cell-v"...)
 	b = strconv.AppendInt(b, cellFormat, 10)
 	b = append(b, "|bin="...)
 	b = append(b, cellstore.Fingerprint()...)
@@ -313,18 +313,47 @@ func (rc runConfig) cacheKey() string {
 	return string(b)
 }
 
-// makeWorkload builds the generator and the warm-start block list.
+// makeWorkload builds the generator and the warm-start block list. The
+// list is shared, read-only, by every cell of the same shape; see warmSet.
 func makeWorkload(rc runConfig) (core.Workload, []coherence.Addr) {
 	if rc.workloadName == "" {
-		locks := 128 * rc.nodes
-		lk := workload.NewLocking(locks, rc.think)
-		return lk, lk.WarmBlocks()
+		lk := workload.NewLocking(128*rc.nodes, rc.think)
+		return lk, warmSet(warmKey{locks: lk.Locks}, lk)
 	}
 	w := workload.ByName(rc.workloadName)
 	if w == nil {
 		panic("experiments: unknown workload " + rc.workloadName)
 	}
-	return w, w.WarmBlocks()
+	return w, warmSet(warmKey{name: rc.workloadName}, w)
+}
+
+// warmKey is what a warm set depends on: the lock count of the locking
+// microbenchmark, or the name of a registered workload, whose pool is
+// fixed by its name.
+type warmKey struct {
+	name  string
+	locks int
+}
+
+// warmSets holds one warm set per shape for the life of the process. A
+// 16,384-block list is 128 KB; building one per cell would be most of
+// what a pooled sweep allocates. The lists are read-only once built: cells
+// on several workers read them at once, and a System keeps its own copy.
+var warmSets = struct {
+	sync.Mutex
+	m map[warmKey][]coherence.Addr
+}{m: make(map[warmKey][]coherence.Addr)}
+
+// warmSet returns the shared warm set for k, building it from g once.
+func warmSet(k warmKey, g interface{ WarmBlocks() []coherence.Addr }) []coherence.Addr {
+	warmSets.Lock()
+	defer warmSets.Unlock()
+	ws, ok := warmSets.m[k]
+	if !ok {
+		ws = g.WarmBlocks()
+		warmSets.m[k] = ws
+	}
+	return ws
 }
 
 // sysPool recycles Systems across sweep cells. Workers lease a structurally
@@ -415,13 +444,27 @@ func MemoHits() uint64 { return memoHits.Load() }
 // lookupCell consults the in-process memo, then (when Options.CacheDir is
 // set) the persistent cell store, without simulating.
 func lookupCell(o Options, rc runConfig) (core.Metrics, bool) {
+	if m, ok := memoCell(rc); ok {
+		return m, true
+	}
+	return storedCell(o, rc, rc.cacheKey())
+}
+
+// memoCell consults the in-process memo.
+func memoCell(rc runConfig) (core.Metrics, bool) {
 	if v, ok := cellMemo.Load(rc); ok {
 		memoHits.Add(1)
 		return v.(core.Metrics), true
 	}
+	return core.Metrics{}, false
+}
+
+// storedCell consults the persistent cell store (when Options.CacheDir is
+// set) under key, rc's cacheKey, memoizing a hit.
+func storedCell(o Options, rc runConfig, key string) (core.Metrics, bool) {
 	if st := cellstore.For(o.CacheDir); st != nil {
 		var m core.Metrics
-		if st.Get(rc.cacheKey(), &m) {
+		if st.Get(key, &m) {
 			v, _ := cellMemo.LoadOrStore(rc, m)
 			return v.(core.Metrics), true
 		}
@@ -429,12 +472,13 @@ func lookupCell(o Options, rc runConfig) (core.Metrics, bool) {
 	return core.Metrics{}, false
 }
 
-// storeCell writes a freshly obtained result through both cache layers (the
-// persistent write is best-effort: a failure only re-simulates later) and
-// returns the canonical memoized value.
-func storeCell(o Options, rc runConfig, m core.Metrics) core.Metrics {
+// storeCell writes a freshly obtained result under key, rc's cacheKey,
+// through both cache layers (the persistent write is best-effort: a
+// failure only re-simulates later) and returns the canonical memoized
+// value.
+func storeCell(o Options, rc runConfig, key string, m core.Metrics) core.Metrics {
 	if st := cellstore.For(o.CacheDir); st != nil {
-		st.Put(rc.cacheKey(), m)
+		st.Put(key, m)
 	}
 	v, _ := cellMemo.LoadOrStore(rc, m)
 	return v.(core.Metrics)
@@ -448,15 +492,15 @@ var fetchCount atomic.Uint64
 // cell exchange rather than simulating.
 func Fetched() uint64 { return fetchCount.Load() }
 
-// fetchCell asks the fleet for rc's cell through the runner's key-fetcher
-// seam (installed by dist.RunWorker; absent outside a worker). Fetched
-// bytes are verified against the content-addressed key — the key embeds
-// the binary fingerprint, so a mismatched build's entry can never decode
-// here — then written through both cache layers. Every failure degrades to
-// ok=false and the caller simulates: a false positive in a peer's
-// indicator costs one round-trip, never a wrong result.
-func fetchCell(o Options, rc runConfig) (core.Metrics, bool) {
-	key := rc.cacheKey()
+// fetchCell asks the fleet for rc's cell, under key (rc's cacheKey),
+// through the runner's key-fetcher seam (installed by dist.RunWorker;
+// absent outside a worker). Fetched bytes are verified against the
+// content-addressed key — the key embeds the binary fingerprint, so a
+// mismatched build's entry can never decode here — then written through
+// both cache layers. Every failure degrades to ok=false and the caller
+// simulates: a false positive in a peer's indicator costs one round-trip,
+// never a wrong result.
+func fetchCell(o Options, rc runConfig, key string) (core.Metrics, bool) {
 	raw, ok := runner.FetchKey(key)
 	if !ok {
 		return core.Metrics{}, false
@@ -477,15 +521,20 @@ func fetchCell(o Options, rc runConfig) (core.Metrics, bool) {
 // (when Options.CacheDir is set) the persistent cell store, then the fleet
 // via the peer cell exchange, and simulating only when all three miss.
 // Fresh results are written through to both cache layers, so an
-// interrupted full-scale run resumes where it left off.
+// interrupted full-scale run resumes where it left off. A memo miss builds
+// the cell's key once for all three.
 func runMemo(o Options, rc runConfig) core.Metrics {
-	if m, ok := lookupCell(o, rc); ok {
+	if m, ok := memoCell(rc); ok {
 		return m
 	}
-	if m, ok := fetchCell(o, rc); ok {
+	key := rc.cacheKey()
+	if m, ok := storedCell(o, rc, key); ok {
 		return m
 	}
-	return storeCell(o, rc, runOne(o, rc))
+	if m, ok := fetchCell(o, rc, key); ok {
+		return m
+	}
+	return storeCell(o, rc, key, runOne(o, rc))
 }
 
 // CacheCounters reports the persistent cell store's hit/miss/write counts

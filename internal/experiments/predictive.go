@@ -55,7 +55,7 @@ func Predictive(o Options) *TableResult {
 			BandwidthMBs:     j.bw,
 			Seed:             21,
 			WatchdogInterval: o.watchdogInterval(),
-			Preheat:          lk.WarmBlocks(),
+			Preheat:          warmSet(warmKey{locks: lk.Locks}, lk),
 		})
 		defer release()
 		sys.AttachWorkload(func(network.NodeID) core.Workload { return lk })

@@ -199,7 +199,7 @@ func Stability(o Options) *TableResult {
 			BandwidthMBs:     1200,
 			Seed:             5,
 			WatchdogInterval: o.watchdogInterval(),
-			Preheat:          lk.WarmBlocks(),
+			Preheat:          warmSet(warmKey{locks: lk.Locks}, lk),
 		})
 		sys.AttachWorkload(func(network.NodeID) core.Workload { return lk })
 		sys.Start()

@@ -111,9 +111,12 @@ type Network struct {
 	// msgFree and taskFree recycle Message records and internal scheduling
 	// tasks. Tasks are purely network-internal and always recycled; Messages
 	// are recycled only under Config.Recycle (handlers might retain them
-	// otherwise). Reset drains nothing: the warmed free lists are the point.
+	// otherwise). allMsgs and allTasks list every record the free lists
+	// ever handed out, so Reset can take back those still in flight.
 	msgFree  []*Message
 	taskFree []*netTask
+	allMsgs  []*Message
+	allTasks []*netTask
 
 	// OrderedSent counts ordered-network messages by broadcast/multicast.
 	OrderedSent   uint64
@@ -152,7 +155,9 @@ const (
 
 func (n *Network) getTask() *netTask {
 	if len(n.taskFree) == 0 {
-		return &netTask{n: n}
+		t := &netTask{n: n}
+		n.allTasks = append(n.allTasks, t)
+		return t
 	}
 	t := n.taskFree[len(n.taskFree)-1]
 	n.taskFree = n.taskFree[:len(n.taskFree)-1]
@@ -166,8 +171,13 @@ func (n *Network) putTask(t *netTask) {
 }
 
 func (n *Network) getMessage() *Message {
-	if len(n.msgFree) == 0 || !n.cfg.Recycle {
+	if !n.cfg.Recycle {
 		return &Message{}
+	}
+	if len(n.msgFree) == 0 {
+		m := &Message{}
+		n.allMsgs = append(n.allMsgs, m)
+		return m
 	}
 	m := n.msgFree[len(n.msgFree)-1]
 	n.msgFree = n.msgFree[:len(n.msgFree)-1]
@@ -266,11 +276,18 @@ func New(k *sim.Kernel, cfg Config) *Network {
 // reseeded. The node count is structural and must match; handlers and the
 // channel objects themselves are retained, so registered receivers and
 // utilization samplers stay wired.
+//
+// Reset also takes back every scheduling task and recycled Message it has
+// handed out, including those of a run abandoned in flight, so the next run
+// allocates none the last one grew. The kernel must be reset first: a
+// pending event still holding a task would fire on a record that is back
+// on the free list.
 func (n *Network) Reset(cfg Config) {
 	cfg = cfg.withDefaults()
 	if cfg.Nodes != n.cfg.Nodes {
 		panic(fmt.Sprintf("network: reset with %d nodes on a %d-node interconnect", cfg.Nodes, n.cfg.Nodes))
 	}
+	n.reclaim()
 	n.cfg = cfg
 	n.seq = 0
 	for i := range n.out {
@@ -291,6 +308,24 @@ func (n *Network) Reset(cfg Config) {
 	}
 	n.OrderedSent = 0
 	n.UnorderedSent = 0
+}
+
+// reclaim returns every task and Message still out — held by pending
+// events of an abandoned run — to the free lists, zeroed. A drained run
+// leaves none out, and reclaim then only compares lengths.
+func (n *Network) reclaim() {
+	if len(n.taskFree) != len(n.allTasks) {
+		for _, t := range n.allTasks {
+			*t = netTask{n: n}
+		}
+		n.taskFree = append(n.taskFree[:0], n.allTasks...)
+	}
+	if len(n.msgFree) != len(n.allMsgs) {
+		for _, m := range n.allMsgs {
+			*m = Message{}
+		}
+		n.msgFree = append(n.msgFree[:0], n.allMsgs...)
+	}
 }
 
 // jitterDelay samples one message's extra traversal delay.

@@ -7,6 +7,7 @@ package network
 // accounts bandwidth; it owns no message state).
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -157,6 +158,94 @@ func TestInFlightSurvivesChannelReset(t *testing.T) {
 		}
 		if i == 2 && unordered != 1 {
 			t.Errorf("node 2 got %d unordered deliveries, want 1", unordered)
+		}
+	}
+}
+
+// burst schedules a fixed mix of delayed sends — full and partial ordered
+// multicasts and unordered unicasts from every node — replayed exactly on
+// each call: rng is reseeded and the payloads are small ints, which box
+// without allocating.
+func burst(n *Network, rng *sim.RNG) {
+	rng.Reseed(7)
+	nodes := n.Nodes()
+	for i := 0; i < 200; i++ {
+		src := NodeID(rng.Intn(nodes))
+		delay := sim.Time(rng.Intn(900))
+		switch i % 3 {
+		case 0:
+			n.SendUnorderedDelayed(delay, src, NodeID(rng.Intn(nodes)), 72, i%256)
+		case 1:
+			n.SendOrderedDelayed(delay, src, n.FullMask(), 8, i%256)
+		default:
+			n.SendOrderedDelayed(delay, src, MaskOf(src, NodeID(rng.Intn(nodes))), 8, i%256)
+		}
+	}
+}
+
+// TestResetReclaimsInFlight: a Network reset while ordered and unordered
+// messages are in flight takes back every task and Message they held. The
+// next run allocates nothing and delivers exactly what a fresh network
+// delivers, at every node.
+func TestResetReclaimsInFlight(t *testing.T) {
+	const nodes = 5
+	cfg := Config{Nodes: nodes, BandwidthMBs: 800, JitterNs: 137, JitterSeed: 42, Recycle: true}
+	build := func() (*sim.Kernel, *Network, []*capture) {
+		k := sim.NewKernel()
+		n := New(k, cfg)
+		caps := make([]*capture, nodes)
+		for i := range caps {
+			caps[i] = &capture{kernel: k, events: make([]capturedDelivery, 0, 512)}
+			n.SetHandler(NodeID(i), caps[i])
+		}
+		return k, n, caps
+	}
+	rng := sim.NewRNG(0)
+
+	k, n, want := build()
+	burst(n, rng)
+	k.Drain()
+
+	k, n, got := build()
+	burst(n, rng) // a full run grows the free lists to the burst's needs
+	k.Drain()
+	// Abandon the next run once ordered and unordered messages are both
+	// in flight.
+	inFlight := func() bool {
+		var ordered, unordered bool
+		for _, m := range n.allMsgs {
+			ordered = ordered || (m.remaining > 0 && m.Seq > 0)
+			unordered = unordered || (m.remaining > 0 && m.Seq == 0)
+		}
+		return ordered && unordered
+	}
+	burst(n, rng)
+	k.RunUntil(inFlight)
+	if !inFlight() {
+		t.Fatal("the run ended before ordered and unordered messages were both in flight")
+	}
+	k.Reset() // the kernel first: it drops the events that hold the records
+	n.Reset(cfg)
+	for _, c := range got {
+		c.events = c.events[:0]
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	burst(n, rng)
+	k.Drain()
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("run after a mid-flight reset allocated %d times, want 0", allocs)
+	}
+	for node := range want {
+		w, g := want[node].events, got[node].events
+		if len(g) != len(w) {
+			t.Fatalf("node %d: %d deliveries after reset, %d fresh", node, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("node %d delivery %d differs:\n fresh:       %+v\n after reset: %+v", node, i, w[i], g[i])
+			}
 		}
 	}
 }

@@ -91,7 +91,9 @@ type Synthetic struct {
 	// hint can eliminate without any adaptivity.
 	UnicastHintFraction float64
 
-	privCursor map[network.NodeID]int
+	// privCursor is each node's next private-region offset, indexed by
+	// node and grown on a node's first private miss.
+	privCursor []int
 }
 
 // WarmBlocks lists the shared-pool blocks to preheat.
@@ -111,14 +113,20 @@ func (w *Synthetic) Next(rng *sim.RNG, self network.NodeID) (sim.Time, coherence
 		a := sharedBase + coherence.Addr(rng.Intn(w.SharedBlocks))
 		return think, coherence.Op{Store: store, Addr: a}
 	}
-	if w.privCursor == nil {
-		w.privCursor = make(map[network.NodeID]int)
-	}
+	w.privCursor = growTo(w.privCursor, self)
 	cur := w.privCursor[self]
 	w.privCursor[self] = cur + 1
 	a := privateBase(self) + coherence.Addr(cur%w.PrivateBlocks)
 	hint := w.UnicastHintFraction > 0 && rng.Float64() < w.UnicastHintFraction
 	return think, coherence.Op{Store: store, Addr: a, HintUnicast: hint}
+}
+
+// growTo returns s extended with zero values, if need be, to index self.
+func growTo[T any](s []T, self network.NodeID) []T {
+	if n := int(self) + 1; n > len(s) {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
 }
 
 // Generator is a registered workload generator: a reference stream
@@ -151,7 +159,9 @@ type Migratory struct {
 	// Writes is the number of stores per episode after the opening load.
 	Writes int
 
-	visits map[network.NodeID]*migVisit
+	// visits is each node's episode, indexed by node; a zero visit has no
+	// stores left, so the node starts a new episode.
+	visits []migVisit
 }
 
 // migVisit tracks one processor's in-progress episode.
@@ -177,16 +187,14 @@ func (w *Migratory) WarmBlocks() []coherence.Addr {
 
 // Next implements core.Workload.
 func (w *Migratory) Next(rng *sim.RNG, self network.NodeID) (sim.Time, coherence.Op) {
-	if w.visits == nil {
-		w.visits = make(map[network.NodeID]*migVisit)
-	}
-	if v := w.visits[self]; v != nil && v.left > 0 {
+	w.visits = growTo(w.visits, self)
+	if v := &w.visits[self]; v.left > 0 {
 		v.left--
 		think := rng.ExpTime(float64(w.MeanThink) / 4)
 		return think, coherence.Op{Store: true, Addr: v.addr}
 	}
 	addr := migratoryBase + coherence.Addr(rng.Intn(w.Blocks))
-	w.visits[self] = &migVisit{addr: addr, left: w.Writes}
+	w.visits[self] = migVisit{addr: addr, left: w.Writes}
 	return rng.ExpTime(float64(w.MeanThink)), coherence.Op{Addr: addr}
 }
 
