@@ -135,8 +135,8 @@ type (
 	// check, CoExecute runs worker slots on the coordinator itself (over
 	// an in-memory wire connection) so a lone coordinator still makes
 	// progress, and CacheDir opens the coordinator's own cell store for
-	// the peer cell exchange (fetches are served from it before relaying
-	// to an advertised holder).
+	// the peer cell exchange (a worker fetches from it when no peer
+	// serves the cell: direct → coordinator store → simulate).
 	DistOptions = dist.CoordinatorOptions
 	// DistCoordinator owns the job queue and lease table, serves the wire
 	// protocol (binary frames over one persistent connection per worker),
@@ -146,16 +146,18 @@ type (
 	// DistWorkerOptions configures one worker process (Secret must match
 	// the coordinator's; MaxBatch caps accepted batch sizes; Wire must be
 	// "" or "binary", the only transport; CacheDir names the worker's cell
-	// store and enables the peer cell exchange, whose
-	// advertisement traffic AdvertBudget caps in bytes per second;
-	// PeerAddr additionally serves that store to other workers directly,
-	// enabling the worker-to-worker data path).
+	// store; PeerAddr serves that store to other workers directly and
+	// advertises it to the coordinator, whose advertisement traffic
+	// AdvertBudget caps in bytes per second — a worker without PeerAddr
+	// fetches but neither serves nor advertises).
 	DistWorkerOptions = dist.WorkerOptions
 	// DistStats are a coordinator's lifetime dispatch counters, including
 	// lease/refill round-trip counts, expired-lease reassignments, the
-	// peer-cell-exchange counters (adverts, fetches, served, relayed,
-	// false positives), and the direct-data-path counters (worker-reported
-	// direct fetches and relay fallbacks; PeerPuts always reads 0).
+	// peer-cell-exchange counters (adverts; fetches asked of the
+	// coordinator's store, served, and false positives), and the
+	// direct-data-path counters (worker-reported direct fetches, and
+	// coordinator-store fetches after a failed direct try; PeerPuts always
+	// reads 0). A cell is fetched direct → coordinator store → simulated.
 	DistStats = dist.Stats
 	// DistAuthError is the terminal error a worker returns when the
 	// coordinator rejects its shared secret (an auth-failed ERROR frame on
@@ -192,8 +194,8 @@ func RegisterDistExecutors(cacheDir string) {
 // long-lived multi-tenant layer over the distributed coordinator. A
 // SweepService stays up with an empty queue, accepts named sweep
 // submissions from separate processes (`bashsim -submit URL -exp fig1`,
-// a SUBMIT frame on the wire, or POST /dist/submit), runs them
-// FIFO within priority over one shared worker fleet, and serves results,
+// or any HTTP client's JSON POST /dist/submit), runs them FIFO within
+// priority over one shared worker fleet, and serves results,
 // a Prometheus-style /metrics endpoint, and a no-JavaScript live status
 // page. See the "Observability" and "Service mode" sections of the
 // package documentation and `bashsim -serve` without `-exp`.
@@ -247,9 +249,10 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // SubmitSweep submits one named sweep to the running sweep service at
 // o.Coordinator (a base URL such as "http://host:8497") and returns the
-// service's acceptance decision. It uses the same wire transport and
-// authentication as RunDistWorker (`bashsim -submit URL` from the command
-// line).
+// service's acceptance decision. The submission is one JSON POST
+// /dist/submit carrying o.Secret in the X-Bashsim-Secret header, not a
+// worker session (`bashsim -submit URL` from the command line); a wrong
+// secret returns *DistAuthError.
 func SubmitSweep(ctx context.Context, o DistWorkerOptions, req SweepSubmitRequest) (SweepSubmitResponse, error) {
 	return dist.SubmitSweep(ctx, o, req)
 }

@@ -102,8 +102,8 @@ func main() {
 		coExecute  = flag.Int("co-execute", runtime.NumCPU(), "in-process worker slots the coordinator runs alongside dispatching (0 = dispatch only)")
 		distStatus = flag.String("dist-status", "", "with -serve: write the coordinator's final /dist/status JSON to this file")
 		advBudget  = flag.Int("advert-budget", 65536, "peer cell exchange: approximate bytes/sec each worker may spend advertising its cell-store indicator (0 = unpaced)")
-		workerKind = flag.String("worker-kinds", "", "with -worker: comma-separated job kinds to lease (empty = every registered executor); a kind matching no jobs makes a holder-only worker that just advertises and serves its cell store")
-		peerAddr   = flag.String("peer-addr", "", "with -worker: serve this worker's cell store to other workers on this address (e.g. :9102; must be dialable by peers); empty disables the direct data path")
+		workerKind = flag.String("worker-kinds", "", "with -worker: comma-separated job kinds to lease (empty = every registered executor); a kind matching no jobs, with -peer-addr, makes a holder-only worker that just advertises and serves its cell store")
+		peerAddr   = flag.String("peer-addr", "", "with -worker: serve this worker's cell store to other workers on this address (e.g. :9102; must be dialable by peers) and advertise it to the coordinator; empty neither serves nor advertises, so the fleet simulates this worker's cells again")
 		waitWork   = flag.Int("wait-workers", 0, "with -serve: wait for this many live workers (and their first indicator adverts) before dispatching")
 
 		submit    = flag.String("submit", "", "submit a named sweep (-exp, -scale, -priority) to a sweep-service coordinator at this URL and exit")
@@ -341,9 +341,9 @@ func main() {
 		st := coord.Stats()
 		fmt.Fprintf(os.Stderr, "dist: %d jobs dispatched over %d leases + %d refills, %d completed, %d leases reassigned, %d failed\n",
 			st.Dispatched, st.Leases, st.Refills, st.Completed, st.Reassigned, st.Failed)
-		if st.Fetches > 0 || st.Adverts > 0 {
-			fmt.Fprintf(os.Stderr, "exchange: %d adverts (%d bytes), %d fetches (%d served locally, %d relayed, %d missed)\n",
-				st.Adverts, st.AdvertBytes, st.Fetches, st.FetchServed, st.FetchRelayed, st.FetchFalsePos)
+		if st.Fetches > 0 || st.Adverts > 0 || st.FetchDirect > 0 {
+			fmt.Fprintf(os.Stderr, "exchange: %d adverts (%d bytes), %d direct peer fetches, %d coordinator fetches (%d served from its store, %d missed)\n",
+				st.Adverts, st.AdvertBytes, st.FetchDirect, st.Fetches, st.FetchServed, st.FetchFalsePos)
 		}
 		if *distStatus != "" {
 			if err := writeDistStatus(coord, *distStatus); err != nil {
@@ -574,9 +574,10 @@ func runStatus(coordinator, secret string) {
 	fmt.Fprintf(w, "jobs\t%d dispatched, %d completed, %d failed\n", st.Dispatched, st.Completed, st.Failed)
 	fmt.Fprintf(w, "socket\t%d B in, %d B out\n", st.BytesIn, st.BytesOut)
 	fmt.Fprintf(w, "frames\t%d in, %d out\n", st.FramesIn, st.FramesOut)
-	fmt.Fprintf(w, "exchange\t%d adverts (%d B), %d fetches: %d served, %d relayed, %d false-pos\n",
-		st.Adverts, st.AdvertBytes, st.Fetches, st.FetchServed, st.FetchRelayed, st.FetchFalsePos)
-	fmt.Fprintf(w, "direct\t%d peer fetches, %d relay fallbacks\n", st.FetchDirect, st.FetchFallback)
+	fmt.Fprintf(w, "exchange\t%d adverts (%d B); fetch direct -> coordinator store -> simulate\n", st.Adverts, st.AdvertBytes)
+	fmt.Fprintf(w, "direct\t%d peer fetches\n", st.FetchDirect)
+	fmt.Fprintf(w, "coordinator store\t%d fetches: %d served (%d after a failed direct try), %d false-pos\n",
+		st.Fetches, st.FetchServed, st.FetchFallback, st.FetchFalsePos)
 	if len(st.WireConns) > 0 {
 		fmt.Fprintf(w, "\nWORKER\tREMOTE\tFRAMES IN/OUT\tBYTES IN/OUT\t\n")
 		for _, c := range st.WireConns {
@@ -630,7 +631,7 @@ func awaitWorkers(coord *dist.Coordinator, n int) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	// Workers with cache-less stores never advertise, so this wait is
+	// Workers without a peer listener never advertise, so this wait is
 	// bounded short rather than required.
 	advertDeadline := time.Now().Add(2 * time.Second)
 	for coord.Stats().Adverts == 0 && time.Now().Before(advertDeadline) {
@@ -658,9 +659,10 @@ func writeDistStatus(coord *dist.Coordinator, path string) error {
 // registers both executors — experiment cells and tester trials — and
 // publishes results into its cell store, which coordinators sharing the
 // directory (or just this worker, across restarts) serve as cache hits.
-// The store also feeds the peer cell exchange: its keys are advertised to
-// the coordinator (paced by -advert-budget) and hinted cells are fetched
-// from the fleet instead of simulated.
+// The store also feeds the peer cell exchange: hinted cells are fetched
+// from the fleet instead of simulated, and with -peer-addr the store is
+// served to peers and its keys advertised to the coordinator (paced by
+// -advert-budget).
 func runWorker(coordinator, cacheDir string, noCache, noReuse bool, slots int, secret string, poll time.Duration, advertBudget int, kindList, peerAddr string) {
 	var kinds []string
 	for _, k := range strings.Split(kindList, ",") {

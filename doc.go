@@ -185,34 +185,34 @@
 // with no external workers; register executors first
 // (RegisterDistExecutors), exactly as a worker process would.
 //
-// The peer cell exchange makes the content-addressed store fleet-wide.
-// Workers advertise compact Bloom-filter indicators over their store keys
-// (paced and sized against DistWorkerOptions.AdvertBudget, deltas
+// The peer cell exchange makes the content-addressed store fleet-wide. A
+// worker started with DistWorkerOptions.PeerAddr (requires CacheDir)
+// serves its cell store to other workers over the framed wire — the same
+// shared-secret handshake, then FETCH/CELL only — names that address in
+// its HELLO, and advertises compact Bloom-filter indicators over its store
+// keys (paced and sized against DistWorkerOptions.AdvertBudget, deltas
 // preferred over full re-sends), built from the entries' file names, which
 // are the keys' SHA-256 digests the filter hashes: a rebuild reads no entry
 // and keeps no per-entry state, and a corrupt entry stays advertised until
-// the lookup that finds it evicts it; the coordinator tables them per worker,
-// each entry living exactly as long as the wire connection that advertised
-// it, and marks each granted job with a likely-holder hint. Before simulating
-// a hinted cell, the worker fetches it — directly from an advertised
-// holder's peer listener when one is known, else served from the
-// coordinator's own store (DistOptions.CacheDir) or relayed from the
-// holder — and installs the raw entry after the same fail-closed header
-// checks as a local store read. Indicator false positives, departed
-// holders, and relay timeouts all degrade tier by tier (direct fetch,
-// coordinator relay, local simulation), never to a wrong result; a cold
-// worker joining a published sweep simulates nothing (the e2e tests
-// assert exactly zero). DistStats and /dist/status report advert, fetch,
-// served, relayed, false-positive, direct, and fallback counters.
+// the lookup that finds it evicts it. A worker without PeerAddr advertises
+// nothing, since nobody could fetch what it claims. The coordinator tables
+// indicators per worker, each entry living exactly as long as the wire
+// connection that advertised it, and marks each granted job with a
+// likely-holder hint plus up to two advertised holders' peer addresses,
+// freshest advert first. Adverts are the only way the fleet learns where a
+// cell lives: no worker is assigned keys, and a worker never pushes a cell
+// to a peer.
 //
-// The direct data path takes the coordinator off the bulk-data transfer:
-// a worker started with DistWorkerOptions.PeerAddr (requires CacheDir)
-// serves its cell store to other workers over the framed wire — the same
-// shared-secret handshake, then FETCH/CELL only. Adverts are the only way
-// the fleet learns where a cell lives: no worker is assigned keys, and a
-// worker never pushes a cell to a peer. The coordinator hands a fetching worker up
-// to two advertised holders' peer addresses per hinted job, freshest
-// advert first.
+// Before simulating a hinted cell, a worker resolves it direct →
+// coordinator store → simulate: it fetches from a holder's peer listener,
+// else from the coordinator's own store (DistOptions.CacheDir; the
+// coordinator never asks another worker), else simulates — and installs a
+// fetched raw entry only after the same fail-closed header checks as a
+// local store read. Indicator false positives and departed holders degrade
+// tier by tier, never to a wrong result; a cold worker joining a published
+// sweep simulates nothing (the e2e tests assert exactly zero). DistStats
+// and /dist/status report advert, direct-fetch, coordinator-fetch, served,
+// false-positive, and fallback counters.
 //
 // Three properties make the fleet exact and restartable:
 //
@@ -241,8 +241,8 @@
 // long-lived multi-tenant sweep service (SweepService, internal/svc)
 // instead of running one sweep and exiting. The service stays up with an
 // empty queue; separate processes submit named sweeps with `bashsim
-// -submit URL -exp fig1 -scale quick [-priority N]` (a SUBMIT frame on
-// the wire; operators may also POST the same JSON to /dist/submit), and
+// -submit URL -exp fig1 -scale quick [-priority N]` (one JSON POST to
+// /dist/submit, which operators may also send themselves), and
 // each accepted sweep gets an id, a queue position, and a result URL.
 // Sweeps run highest-priority-first (FIFO within a priority) over the one
 // shared worker fleet, up to ServeOptions.MaxActive at a time — a running
@@ -304,9 +304,9 @@
 // /metrics on a sweep service serves it. The bashsim_* families cover the
 // coordinator's lease and job counters, the wire transports' byte/frame
 // counters per direction and per connection, the peer cell exchange
-// (adverts, fetches, served/relayed/false-positive), the cell store
-// (hits, misses, writes, evictions), the run orchestrator (jobs in
-// flight, captured panics), and per-sweep progress gauges
+// (adverts, direct and coordinator fetches, served/false-positive), the
+// cell store (hits, misses, writes, evictions), the run orchestrator (jobs
+// in flight, captured panics), and per-sweep progress gauges
 // (bashsim_sweep_done/bashsim_sweep_total labeled by sweep id and
 // experiment). Scrapes are allocation-bounded and race-clean against
 // concurrent updates; the exposition format is pinned by escaping,

@@ -97,7 +97,7 @@ func (s *Store) PutRaw(key string, raw []byte) error {
 
 // VerifyRaw checks that raw is an entry for key: a parsable current-format
 // header whose key matches exactly. It does not decode the value —
-// DecodeRaw does that — so it is cheap enough for relay paths that never
+// DecodeRaw does that — so it is cheap enough for fetch paths that never
 // interpret the payload.
 func VerifyRaw(key string, raw []byte) error {
 	_, err := checkEntry(key, raw)

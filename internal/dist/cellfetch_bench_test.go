@@ -38,7 +38,7 @@ func BenchmarkCellFetchVsSimulate(b *testing.B) {
 
 	b.Run("fetch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			resp, err := tr.Fetch(context.Background(), fetchRequest{Key: key})
+			resp, err := tr.Fetch(context.Background(), key)
 			if err != nil || !resp.Found {
 				b.Fatalf("fetch: found=%v err=%v", resp != nil && resp.Found, err)
 			}

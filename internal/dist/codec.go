@@ -16,11 +16,11 @@ import (
 )
 
 // wireProtoName is the HTTP Upgrade token that opens the wire transport
-// on /dist/wire. The "/3" tracks wire.Version: a worker offering a token
+// on /dist/wire. The "/5" tracks wire.Version: a worker offering a token
 // the coordinator does not speak gets a plain HTTP refusal (426) and fails
 // with wire.ErrNotWire — mixed builds fail at the upgrade with a
 // description instead of on a frame parse mid-sweep.
-const wireProtoName = "bashsim-wire/4"
+const wireProtoName = "bashsim-wire/5"
 
 // Parse bounds: generous multiples of anything the protocol produces, tight
 // enough that a malformed length fails immediately instead of allocating.
@@ -28,8 +28,7 @@ const (
 	maxWireStr   = 1 << 20 // worker names, kinds, labels, error/panic text
 	maxWireKinds = 1 << 10
 	maxWireJobs  = 1 << 16
-	maxWireSeeds = 1 << 12 // per-sweep seed-list override
-	maxWireAddrs = 1 << 4  // holder peer addresses per granted job
+	maxWireAddrs = 1 << 4 // holder peer addresses per granted job
 )
 
 // byteReader is a strict cursor over one message payload.
@@ -147,9 +146,10 @@ func appendBool(b []byte, v bool) []byte {
 // appendHello encodes the connection handshake: protocol version, worker
 // name, the SHA-256 digest of the shared secret (the server compares
 // digests in constant time; an empty secret digests the empty string), and
-// the worker's peer listener address ("" when it serves no peers). The same
-// handshake opens both coordinator connections and worker-to-worker peer
-// connections.
+// the worker's peer listener address ("" when it serves no peers; the
+// coordinator applies adverts only from a connection that named one). The
+// same handshake opens both coordinator connections and worker-to-worker
+// peer connections.
 func appendHello(b []byte, worker string, digest []byte, peer string) []byte {
 	b = appendUvarint(b, wire.Version)
 	b = appendString(b, worker)
@@ -185,7 +185,6 @@ func parseErrorFrame(p []byte) string { return string(p) }
 
 func appendLeaseRequest(b []byte, req leaseRequest) []byte {
 	b = appendString(b, req.Worker)
-	b = appendString(b, req.Peer)
 	b = appendUvarint(b, uint64(req.Max))
 	b = appendUvarint(b, uint64(len(req.Kinds)))
 	for _, k := range req.Kinds {
@@ -198,7 +197,6 @@ func parseLeaseRequest(p []byte) (leaseRequest, error) {
 	r := &byteReader{p: p}
 	var req leaseRequest
 	req.Worker = r.str("worker name", maxWireStr)
-	req.Peer = r.str("peer address", maxWireStr)
 	req.Max = int(r.uvarint("lease max"))
 	if n := r.count("kinds", maxWireKinds); r.err == nil && n > 0 {
 		req.Kinds = make([]string, n)
@@ -380,17 +378,14 @@ func parseAdvert(p []byte) (advertRequest, error) {
 	return req, r.finish("advert")
 }
 
-func appendFetchRequest(b []byte, req fetchRequest) []byte {
-	b = appendString(b, req.Worker)
-	return appendString(b, req.Key)
-}
+// appendFetchRequest encodes a FETCH: the store key alone (the requester
+// named itself in its HELLO).
+func appendFetchRequest(b []byte, key string) []byte { return appendString(b, key) }
 
-func parseFetchRequest(p []byte) (fetchRequest, error) {
+func parseFetchRequest(p []byte) (string, error) {
 	r := &byteReader{p: p}
-	var req fetchRequest
-	req.Worker = r.str("worker name", maxWireStr)
-	req.Key = r.str("cell key", maxWireStr)
-	return req, r.finish("fetch request")
+	key := r.str("cell key", maxWireStr)
+	return key, r.finish("fetch request")
 }
 
 func appendCell(b []byte, resp fetchResponse) []byte {
@@ -411,58 +406,4 @@ func parseCell(p []byte) (fetchResponse, error) {
 		return resp, fmt.Errorf("dist: cell message: %d payload bytes on a not-found reply", len(resp.Raw))
 	}
 	return resp, nil
-}
-
-// --- SUBMIT / SWEEP (sweep service submissions) --------------------------
-
-// maxSweepPriority bounds the priority a submission may carry: enough for
-// any sane scheduling scheme, tight enough that a corrupt varint fails the
-// parse instead of minting a sweep that preempts everything forever.
-const maxSweepPriority = 1 << 20
-
-func appendSubmit(b []byte, req SubmitRequest) []byte {
-	b = appendString(b, req.Exp)
-	b = appendString(b, req.Scale)
-	b = appendUvarint(b, uint64(req.Priority))
-	b = appendUvarint(b, uint64(len(req.Seeds)))
-	for _, s := range req.Seeds {
-		b = appendUvarint(b, s)
-	}
-	return b
-}
-
-func parseSubmit(p []byte) (SubmitRequest, error) {
-	r := &byteReader{p: p}
-	var req SubmitRequest
-	req.Exp = r.str("experiment id", maxWireStr)
-	req.Scale = r.str("sweep scale", maxWireStr)
-	prio := r.uvarint("sweep priority")
-	if r.err == nil && prio > maxSweepPriority {
-		r.fail("dist: sweep priority %d exceeds bound %d", prio, maxSweepPriority)
-	}
-	req.Priority = int(prio)
-	if n := r.count("seeds", maxWireSeeds); r.err == nil && n > 0 {
-		req.Seeds = make([]uint64, n)
-		for i := range req.Seeds {
-			req.Seeds[i] = r.uvarint("seed")
-		}
-	}
-	return req, r.finish("submit")
-}
-
-// appendSweep encodes a SUBMIT reply; rejection travels in-band as the Err
-// string so the connection survives a refused submission.
-func appendSweep(b []byte, resp SubmitResponse) []byte {
-	b = appendString(b, resp.ID)
-	b = appendUvarint(b, uint64(resp.Position))
-	return appendString(b, resp.Err)
-}
-
-func parseSweep(p []byte) (SubmitResponse, error) {
-	r := &byteReader{p: p}
-	var resp SubmitResponse
-	resp.ID = r.str("sweep id", maxWireStr)
-	resp.Position = int(r.uvarint("queue position"))
-	resp.Err = r.str("submit error", maxWireStr)
-	return resp, r.finish("sweep")
 }

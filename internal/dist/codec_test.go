@@ -37,11 +37,6 @@ func TestCodecRoundTrips(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("got %+v, %v; want %+v", got, err, want)
 		}
-		withPeer := leaseRequest{Worker: "w", Peer: "127.0.0.1:9102", Kinds: []string{"bashsim.cell"}}
-		got, err = parseLeaseRequest(appendLeaseRequest(nil, withPeer))
-		if err != nil || !reflect.DeepEqual(got, withPeer) {
-			t.Fatalf("with peer: got %+v, %v; want %+v", got, err, withPeer)
-		}
 	})
 
 	t.Run("grant", func(t *testing.T) {
@@ -141,10 +136,9 @@ func TestCodecRoundTrips(t *testing.T) {
 	})
 
 	t.Run("fetch request", func(t *testing.T) {
-		want := fetchRequest{Worker: "w", Key: "abcdef0123456789"}
-		got, err := parseFetchRequest(appendFetchRequest(nil, want))
-		if err != nil || got != want {
-			t.Fatalf("got %+v, %v; want %+v", got, err, want)
+		got, err := parseFetchRequest(appendFetchRequest(nil, "abcdef0123456789"))
+		if err != nil || got != "abcdef0123456789" {
+			t.Fatalf("got %q, %v", got, err)
 		}
 	})
 
@@ -160,31 +154,6 @@ func TestCodecRoundTrips(t *testing.T) {
 		}
 	})
 
-	t.Run("submit", func(t *testing.T) {
-		want := SubmitRequest{Exp: "fig1", Scale: "quick", Priority: 7}
-		got, err := parseSubmit(appendSubmit(nil, want))
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("got %+v, %v; want %+v", got, err, want)
-		}
-		seeded := SubmitRequest{Exp: "fig8", Priority: 1, Seeds: []uint64{11, 23, 1 << 60}}
-		got, err = parseSubmit(appendSubmit(nil, seeded))
-		if err != nil || !reflect.DeepEqual(got, seeded) {
-			t.Fatalf("seeded: got %+v, %v; want %+v", got, err, seeded)
-		}
-	})
-
-	t.Run("sweep", func(t *testing.T) {
-		accepted := SubmitResponse{ID: "s003", Position: 2}
-		got, err := parseSweep(appendSweep(nil, accepted))
-		if err != nil || got != accepted {
-			t.Fatalf("accepted: got %+v, %v; want %+v", got, err, accepted)
-		}
-		rejected := SubmitResponse{Err: "unknown experiment \"fig99\""}
-		got, err = parseSweep(appendSweep(nil, rejected))
-		if err != nil || got != rejected {
-			t.Fatalf("rejected: got %+v, %v; want %+v", got, err, rejected)
-		}
-	})
 }
 
 // TestCodecRejectsMalformed: strict parsing — truncation, overrun lengths,
@@ -263,36 +232,12 @@ func TestCodecRejectsMalformed(t *testing.T) {
 		t.Error("advert with bogus bool parsed")
 	}
 
-	fetch := appendFetchRequest(nil, fetchRequest{Worker: "w", Key: "k"})
+	fetch := appendFetchRequest(nil, "k")
 	if _, err := parseFetchRequest(fetch[:len(fetch)-1]); err == nil {
 		t.Error("truncated fetch request parsed")
 	}
 	if _, err := parseFetchRequest(append(fetch, 0)); err == nil {
 		t.Error("fetch request with trailing bytes parsed")
-	}
-
-	submit := appendSubmit(nil, SubmitRequest{Exp: "fig1", Scale: "quick", Priority: 1})
-	if _, err := parseSubmit(submit[:len(submit)-1]); err == nil {
-		t.Error("truncated submit parsed")
-	}
-	if _, err := parseSubmit(append(submit, 0)); err == nil {
-		t.Error("submit with trailing bytes parsed")
-	}
-	// A priority beyond the wire bound is rejected before it can skew the
-	// queue ordering arithmetic.
-	absurd := appendString(nil, "fig1")
-	absurd = appendString(absurd, "quick")
-	absurd = appendUvarint(absurd, maxSweepPriority+1)
-	if _, err := parseSubmit(absurd); err == nil {
-		t.Error("submit with absurd priority parsed")
-	}
-
-	sweep := appendSweep(nil, SubmitResponse{ID: "s001", Position: 1})
-	if _, err := parseSweep(sweep[:len(sweep)-1]); err == nil {
-		t.Error("truncated sweep parsed")
-	}
-	if _, err := parseSweep(append(sweep, 0)); err == nil {
-		t.Error("sweep with trailing bytes parsed")
 	}
 
 	// A grant whose holder-address count exceeds the wire bound must be
@@ -333,13 +278,13 @@ func FuzzCodecParsers(f *testing.F) {
 	f.Add(appendResultRequest(nil, resultRequest{Worker: "w", JobID: 2, Result: []byte("r")}))
 	f.Add(appendResultRequest(nil, resultRequest{Worker: "w", JobID: 2, Result: []byte("r"), FetchDirect: 1, FetchFallback: 2}))
 	f.Add(appendHello(nil, "w", make([]byte, sha256.Size), "peer:9102"))
-	f.Add(appendLeaseRequest(nil, leaseRequest{Worker: "w", Peer: "peer:9102", Kinds: []string{"k"}, Max: 2}))
+	f.Add(appendLeaseRequest(nil, leaseRequest{Worker: "w", Kinds: []string{"k"}, Max: 2}))
 	f.Add(appendHeartbeatRequest(nil, heartbeatRequest{Worker: "w", JobIDs: []int64{1, 2}}))
 	f.Add(appendAdvert(nil, advertRequest{Worker: "w", Gen: 1, Full: true, M: 64, K: 3, Bits: make([]byte, 8)}))
-	f.Add(appendFetchRequest(nil, fetchRequest{Worker: "w", Key: "k"}))
+	f.Add(appendFetchRequest(nil, "k"))
 	f.Add(appendCell(nil, fetchResponse{Found: true, Raw: []byte("raw entry")}))
-	f.Add(appendSubmit(nil, SubmitRequest{Exp: "fig1", Scale: "quick", Priority: 1}))
-	f.Add(appendSweep(nil, SubmitResponse{ID: "s001", Position: 1}))
+	f.Add(appendHello(nil, "w", make([]byte, sha256.Size), ""))
+	f.Add(appendGrant(nil, leaseResponse{Done: 15, Total: 15}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parseHello(data)
@@ -352,8 +297,6 @@ func FuzzCodecParsers(f *testing.F) {
 		parseAdvert(data)
 		parseFetchRequest(data)
 		parseCell(data)
-		parseSubmit(data)
-		parseSweep(data)
 	})
 }
 
@@ -365,7 +308,7 @@ func FuzzCodecParsers(f *testing.F) {
 func FuzzPeerCodec(f *testing.F) {
 	digest := sha256.Sum256([]byte("secret"))
 	f.Add(appendHello(nil, "w", digest[:], "10.0.0.7:9102"))
-	f.Add(appendFetchRequest(nil, fetchRequest{Worker: "w", Key: "abcd"}))
+	f.Add(appendFetchRequest(nil, "abcd"))
 	f.Add(appendCell(nil, fetchResponse{Found: true, Raw: []byte("raw entry")}))
 	f.Add(appendCell(nil, fetchResponse{}))
 	f.Add(appendHello(nil, "w", digest[:], ""))

@@ -17,7 +17,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/dist/wire"
@@ -28,73 +27,16 @@ import (
 // goroutines).
 const wireHandshakeTimeout = 10 * time.Second
 
-// serverStreamBit marks coordinator-initiated streams (relayed FETCHes);
-// worker-chosen stream ids stay below it, so the two id spaces never
-// collide on one connection.
-const serverStreamBit = uint32(1) << 31
-
-// wireConn is one established binary connection.
+// wireConn is one established binary connection. peer is the peer
+// listener address its HELLO named ("" when the worker serves no peers):
+// adverts apply only from a connection that names one, and grants hand it
+// out as the holder's address.
 type wireConn struct {
 	worker string
 	remote string
+	peer   string
 	rd     *wire.Reader
 	wr     *wire.Writer
-
-	// Relay state: coordinator-initiated FETCH streams awaiting the
-	// worker's CELL reply. The Writer serializes concurrent frames itself;
-	// this mutex only guards the waiter table.
-	mu         sync.Mutex
-	dead       bool
-	nextStream uint32
-	relays     map[uint32]chan []byte
-}
-
-// newRelay registers a coordinator-initiated stream and its reply channel
-// (buffered so a late CELL never blocks the read loop after a timeout).
-func (wc *wireConn) newRelay() (uint32, chan []byte, bool) {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	if wc.dead {
-		return 0, nil, false
-	}
-	wc.nextStream++
-	id := serverStreamBit | (wc.nextStream &^ serverStreamBit)
-	ch := make(chan []byte, 1)
-	wc.relays[id] = ch
-	return id, ch, true
-}
-
-func (wc *wireConn) dropRelay(id uint32) {
-	wc.mu.Lock()
-	delete(wc.relays, id)
-	wc.mu.Unlock()
-}
-
-// deliverRelay hands a CELL payload to its waiter. Unknown streams (already
-// timed out, or a confused worker) are dropped silently — relays are
-// best-effort by design.
-func (wc *wireConn) deliverRelay(id uint32, payload []byte) {
-	wc.mu.Lock()
-	ch, ok := wc.relays[id]
-	if ok {
-		delete(wc.relays, id)
-	}
-	wc.mu.Unlock()
-	if ok {
-		ch <- append([]byte(nil), payload...)
-	}
-}
-
-// failRelays marks the connection dead and wakes every pending relay with
-// a closed channel (their fetches fall through to the next holder).
-func (wc *wireConn) failRelays() {
-	wc.mu.Lock()
-	wc.dead = true
-	for id, ch := range wc.relays {
-		delete(wc.relays, id)
-		close(ch)
-	}
-	wc.mu.Unlock()
 }
 
 func (wc *wireConn) status() WireConnStatus {
@@ -186,20 +128,12 @@ func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) {
 		return
 	}
 
-	wc := &wireConn{
-		worker: worker, remote: conn.RemoteAddr().String(), rd: rd, wr: wr,
-		relays: map[uint32]chan []byte{},
-	}
+	wc := &wireConn{worker: worker, remote: conn.RemoteAddr().String(), peer: peer, rd: rd, wr: wr}
 	c.wireMu.Lock()
 	c.wireConns[wc] = struct{}{}
 	c.wireMu.Unlock()
-	defer func() {
-		c.retireWireConn(wc)
-		wc.failRelays()
-	}()
-	c.mu.Lock()
-	c.registerWorkerLocked(worker, peer, time.Now())
-	c.mu.Unlock()
+	defer c.retireWireConn(wc)
+	c.noteWorker(worker)
 
 	idle := workerTTLFactor * c.opt.leaseTTL()
 	for {
@@ -211,8 +145,7 @@ func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) {
 			return
 		}
 		c.framesIn.Add(1)
-		switch h.Type {
-		case wire.FrameAdvert:
+		if h.Type == wire.FrameAdvert {
 			// Fire-and-forget: the worker paces itself against the budget;
 			// malformed indicators are terminal like any other bad frame.
 			req, err := parseAdvert(payload)
@@ -222,30 +155,6 @@ func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) {
 			}
 			req.Worker = worker
 			c.advertRPC(req, int(h.Length), wc)
-			continue
-		case wire.FrameCell:
-			// Reply to a coordinator-initiated relay stream: hand the raw
-			// payload to the waiting fetch (parse happens there).
-			wc.deliverRelay(h.Stream, payload)
-			continue
-		case wire.FrameFetch:
-			req, err := parseFetchRequest(payload)
-			if err != nil {
-				count(wr.WriteFrame(wire.FrameError, 0, h.Stream, []byte(err.Error())))
-				return
-			}
-			req.Worker = worker
-			// Served off the read loop: a fetch that relays to another
-			// holder blocks up to relayTimeout, and this worker's lease and
-			// result frames must not queue behind it. The Writer serializes
-			// concurrent frames.
-			go func(stream uint32, req fetchRequest) {
-				resp := c.fetchRPC(context.Background(), req)
-				buf := wire.GetBuffer()
-				*buf = appendCell(*buf, resp)
-				count(wr.WriteFrame(wire.FrameCell, 0, stream, *buf))
-				wire.PutBuffer(buf)
-			}(h.Stream, req)
 			continue
 		}
 		replyType, reply, err := c.dispatchFrame(h, payload)
@@ -258,44 +167,6 @@ func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) {
 		if err != nil {
 			return
 		}
-	}
-}
-
-// relayFetch forwards one FETCH down an established worker connection and
-// waits (bounded) for its CELL. Returns the raw entry bytes, unverified —
-// the caller checks them against the key before trusting anything.
-func (c *Coordinator) relayFetch(ctx context.Context, wc *wireConn, key string) ([]byte, bool) {
-	id, ch, ok := wc.newRelay()
-	if !ok {
-		return nil, false
-	}
-	buf := wire.GetBuffer()
-	*buf = appendFetchRequest(*buf, fetchRequest{Key: key})
-	err := wc.wr.WriteFrame(wire.FrameFetch, 0, id, *buf)
-	wire.PutBuffer(buf)
-	c.framesOut.Add(1)
-	if err != nil {
-		wc.dropRelay(id)
-		return nil, false
-	}
-	timer := time.NewTimer(relayTimeout)
-	defer timer.Stop()
-	select {
-	case payload, ok := <-ch:
-		if !ok {
-			return nil, false // connection died mid-relay
-		}
-		resp, err := parseCell(payload)
-		if err != nil || !resp.Found {
-			return nil, false
-		}
-		return resp.Raw, true
-	case <-timer.C:
-		wc.dropRelay(id)
-		return nil, false
-	case <-ctx.Done():
-		wc.dropRelay(id)
-		return nil, false
 	}
 }
 
@@ -329,17 +200,14 @@ func (c *Coordinator) dispatchFrame(h wire.Header, payload []byte) (byte, *[]byt
 		}
 		*buf = appendGrant(*buf, c.resultRPC(req))
 		return wire.FrameResultAck, buf, nil
-	case wire.FrameSubmit:
-		req, err := parseSubmit(payload)
+	case wire.FrameFetch:
+		key, err := parseFetchRequest(payload)
 		if err != nil {
 			wire.PutBuffer(buf)
 			return 0, nil, err
 		}
-		// The reply carries rejection in-band (SubmitResponse.Err), so a
-		// client on a non-service coordinator gets a description, not a
-		// dropped connection.
-		*buf = appendSweep(*buf, c.submitRPC(req))
-		return wire.FrameSweep, buf, nil
+		*buf = appendCell(*buf, c.fetchRPC(key))
+		return wire.FrameCell, buf, nil
 	default:
 		wire.PutBuffer(buf)
 		return 0, nil, fmt.Errorf("dist: unexpected %s frame on an established connection", wire.TypeName(h.Type))

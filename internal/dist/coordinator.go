@@ -53,10 +53,12 @@ type CoordinatorOptions struct {
 	// in-process worker.
 	CoExecute int
 	// CacheDir, when non-empty, opens the coordinator's own cell store
-	// there. Fetches are served from it before any relay is attempted, and
-	// relayed entries are written through to it, so one warm coordinator
-	// can feed an arbitrarily cold fleet. Empty disables the local store;
-	// fetches then rely entirely on advertised holders.
+	// there. Its keys count as held in grant hints, and a worker whose
+	// direct fetches fail (or that was granted no holder address) FETCHes
+	// from it, so one warm coordinator can feed an arbitrarily cold fleet.
+	// The coordinator never asks another worker for a cell. Empty disables
+	// the local store; fetches then rely entirely on advertising holders'
+	// peer listeners.
 	CacheDir string
 }
 
@@ -163,10 +165,6 @@ type Coordinator struct {
 	workers  map[string]time.Time  // worker name -> last contact
 	draining bool                  // Drain called: grant nothing, let leases finish
 
-	// peerAddrs maps workers to their advertised peer listener addresses
-	// (only workers serving peers appear). Guarded by mu.
-	peerAddrs map[string]string
-
 	// submitMu guards the sweep-submission hook, installed by the service
 	// layer (internal/svc). Nil rejects submissions in-band: a plain
 	// one-shot coordinator is not a sweep service.
@@ -204,7 +202,6 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 		leased:    map[int64]*trackedJob{},
 		batches:   map[*batch]struct{}{},
 		workers:   map[string]time.Time{},
-		peerAddrs: map[string]string{},
 		wireConns: map[*wireConn]struct{}{},
 	}
 	mux := http.NewServeMux()
@@ -319,7 +316,6 @@ func (c *Coordinator) Stats() Stats {
 		AdvertBytes:   c.exch.advertBytes.Load(),
 		Fetches:       c.exch.fetches.Load(),
 		FetchServed:   c.exch.served.Load(),
-		FetchRelayed:  c.exch.relayed.Load(),
 		FetchFalsePos: c.exch.fetchMissing.Load(),
 
 		FetchDirect:   c.exch.direct.Load(),
@@ -342,21 +338,17 @@ func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 			n++
 		} else {
 			delete(c.workers, name)
-			delete(c.peerAddrs, name)
 		}
 	}
 	return n
 }
 
-// registerWorkerLocked records a worker contact: liveness timestamp and
-// (when the contact carried one) its peer listener address.
-// peer == "" leaves any previously registered address alone — heartbeats
-// and results don't re-send it.
-func (c *Coordinator) registerWorkerLocked(name, peer string, now time.Time) {
-	c.workers[name] = now
-	if peer != "" {
-		c.peerAddrs[name] = peer
-	}
+// noteWorker records a worker contact that arrived outside the lease RPCs
+// (a HELLO or an ADVERT) for the liveness window.
+func (c *Coordinator) noteWorker(name string) {
+	c.mu.Lock()
+	c.workers[name] = time.Now()
+	c.mu.Unlock()
 }
 
 // Run implements runner.Backend: it enqueues the jobs, waits for workers to
@@ -742,7 +734,7 @@ func (c *Coordinator) leaseRPC(req leaseRequest) leaseResponse {
 	now := time.Now()
 
 	c.mu.Lock()
-	c.registerWorkerLocked(req.Worker, req.Peer, now)
+	c.workers[req.Worker] = now
 	notes := c.reclaimExpiredLocked(now)
 	grants := c.grantLocked(now, req.Worker, kinds, c.leaseSizeLocked(now, req.Max))
 	pdone, ptotal := c.progressLocked()
@@ -764,7 +756,7 @@ func (c *Coordinator) leaseRPC(req leaseRequest) leaseResponse {
 func (c *Coordinator) heartbeatRPC(req heartbeatRequest) heartbeatResponse {
 	now := time.Now()
 	c.mu.Lock()
-	c.registerWorkerLocked(req.Worker, "", now)
+	c.workers[req.Worker] = now
 	for _, id := range req.JobIDs {
 		if tj, ok := c.leased[id]; ok && tj.worker == req.Worker {
 			tj.deadline = now.Add(c.opt.leaseTTL())
@@ -786,7 +778,7 @@ func (c *Coordinator) resultRPC(req resultRequest) leaseResponse {
 	c.exch.fallback.Add(req.FetchFallback)
 	now := time.Now()
 	c.mu.Lock()
-	c.registerWorkerLocked(req.Worker, "", now)
+	c.workers[req.Worker] = now
 	tj, ok := c.leased[req.JobID]
 	if ok {
 		delete(c.leased, req.JobID)
@@ -868,7 +860,6 @@ func (c *Coordinator) statusSnapshot() StatusSnapshot {
 		AdvertBytes:   st.AdvertBytes,
 		Fetches:       st.Fetches,
 		FetchServed:   st.FetchServed,
-		FetchRelayed:  st.FetchRelayed,
 		FetchFalsePos: st.FetchFalsePos,
 
 		FetchDirect:   st.FetchDirect,

@@ -1,15 +1,15 @@
 package dist
 
 // Tests for the peer cell exchange: the Bloom indicator itself, the
-// coordinator's advert table and budget adaptation, fetch routing from the
-// coordinator's store, relay routing through an advertised holder's wire
-// connection, the false-positive fallback, and indicator lifetime (bound
-// to the advertising connection). Where a store is needed the
-// tests use real cellstore directories — the exchange's fail-closed
-// verification is exactly the header check these produce.
+// coordinator's advert table and budget adaptation, holder addresses on
+// grants, fetches from the coordinator's store, the worker's direct →
+// coordinator store → simulate chain, and indicator lifetime (bound to
+// the advertising connection, which must name a peer address). Where a
+// store is needed the tests use real cellstore directories — the
+// exchange's fail-closed verification is exactly the header check these
+// produce.
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -119,7 +119,16 @@ func TestBudgetAdaptation(t *testing.T) {
 func TestNoteAdvertFullDeltaAndGaps(t *testing.T) {
 	x := newExchange("")
 	f := buildFilter(digestsOf("k1", "k2"), defaultBitsPerKey)
-	conn := &wireConn{worker: "w"}
+	conn := &wireConn{worker: "w", peer: "10.0.0.7:9102"}
+
+	// A connection whose HELLO named no peer address cannot advertise:
+	// nobody could fetch what it claims.
+	if x.noteAdvert(advertRequest{Worker: "w", Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits}, 10, &wireConn{worker: "w"}) {
+		t.Fatal("full advert from a connection without a peer address was applied")
+	}
+	if claimed(x, "other", "k1") {
+		t.Fatal("an unserved advert hinted its keys")
+	}
 
 	// A delta with no prior full must be refused.
 	if x.noteAdvert(advertRequest{Worker: "w", Gen: 1, M: f.m, K: f.k, Bits: f.bits}, 10, conn) {
@@ -128,8 +137,8 @@ func TestNoteAdvertFullDeltaAndGaps(t *testing.T) {
 	if !x.noteAdvert(advertRequest{Worker: "w", Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits}, 10, conn) {
 		t.Fatal("full advert refused")
 	}
-	if !claimed(x, "other", "k1") {
-		t.Fatal("advertised key not reported held")
+	if hs := x.holders("other", cellstore.KeyDigest("k1")); len(hs) != 1 || hs[0] != conn.peer {
+		t.Fatalf("holders of an advertised key = %v, want [%s]", hs, conn.peer)
 	}
 	if claimed(x, "w", "k1") {
 		t.Fatal("a worker's own indicator satisfied its hint (it would fetch from itself)")
@@ -147,7 +156,7 @@ func TestNoteAdvertFullDeltaAndGaps(t *testing.T) {
 
 	// A delta from a connection that does not own the entry is refused, and
 	// so is a generation gap.
-	if x.noteAdvert(advertRequest{Worker: "w", Gen: 3, M: f.m, K: f.k, Bits: grown.xor(f)}, 10, &wireConn{worker: "w"}) {
+	if x.noteAdvert(advertRequest{Worker: "w", Gen: 3, M: f.m, K: f.k, Bits: grown.xor(f)}, 10, &wireConn{worker: "w", peer: conn.peer}) {
 		t.Fatal("delta from a foreign connection accepted")
 	}
 	if x.noteAdvert(advertRequest{Worker: "w", Gen: 4, M: f.m, K: f.k, Bits: grown.bits}, 10, conn) {
@@ -169,11 +178,11 @@ func TestNoteAdvertFullDeltaAndGaps(t *testing.T) {
 		t.Fatalf("retired connection's indicator routed: holders = %v", hs)
 	}
 
-	if got := x.adverts.Load(); got != 5 {
-		t.Errorf("adverts counter = %d, want 5", got)
+	if got := x.adverts.Load(); got != 6 {
+		t.Errorf("adverts counter = %d, want 6", got)
 	}
-	if got := x.advertBytes.Load(); got != 50 {
-		t.Errorf("advertBytes counter = %d, want 50", got)
+	if got := x.advertBytes.Load(); got != 60 {
+		t.Errorf("advertBytes counter = %d, want 60", got)
 	}
 }
 
@@ -181,18 +190,18 @@ func TestHoldersFreshestFirst(t *testing.T) {
 	x := newExchange("")
 	f := buildFilter(digestsOf("k"), defaultBitsPerKey)
 	for i, w := range []string{"old", "mid", "new"} {
-		x.noteAdvert(advertRequest{Worker: w, Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits}, 1, nil)
+		x.noteAdvert(advertRequest{Worker: w, Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits}, 1, &wireConn{worker: w, peer: w + ":9102"})
 		x.mu.Lock()
 		// Stamp explicit recency (noteAdvert uses wall-clock now).
 		x.table[w].when = time.Now().Add(time.Duration(i) * time.Second)
 		x.mu.Unlock()
 	}
 	hs := x.holders("requester", cellstore.KeyDigest("k"))
-	if len(hs) != 3 || hs[0] != "new" || hs[2] != "old" {
-		t.Fatalf("holders = %v, want [new mid old]", hs)
+	if len(hs) != 3 || hs[0] != "new:9102" || hs[2] != "old:9102" {
+		t.Fatalf("holders = %v, want [new:9102 mid:9102 old:9102]", hs)
 	}
-	if hs := x.holders("new", cellstore.KeyDigest("k")); len(hs) != 2 || hs[0] != "mid" {
-		t.Fatalf("holders excluding requester = %v, want [mid old]", hs)
+	if hs := x.holders("new", cellstore.KeyDigest("k")); len(hs) != 2 || hs[0] != "mid:9102" {
+		t.Fatalf("holders excluding requester = %v, want [mid:9102 old:9102]", hs)
 	}
 }
 
@@ -238,7 +247,7 @@ func TestFetchServedFromCoordinatorStore(t *testing.T) {
 	dir, _ := storeWith(t, "held-key")
 	coord := NewCoordinator(CoordinatorOptions{CacheDir: dir})
 
-	resp := coord.fetchRPC(context.Background(), fetchRequest{Worker: "cold", Key: "held-key"})
+	resp := coord.fetchRPC("held-key")
 	if !resp.Found {
 		t.Fatal("coordinator store did not serve the fetch")
 	}
@@ -258,7 +267,7 @@ func TestFetchServedFromCoordinatorStore(t *testing.T) {
 	}
 
 	// A miss for an unheld key counts as a false positive.
-	if resp := coord.fetchRPC(context.Background(), fetchRequest{Worker: "cold", Key: "nobody-has-this"}); resp.Found {
+	if resp := coord.fetchRPC("nobody-has-this"); resp.Found {
 		t.Fatal("fetch of absent key found something")
 	}
 	st := coord.Stats()
@@ -267,83 +276,76 @@ func TestFetchServedFromCoordinatorStore(t *testing.T) {
 	}
 }
 
-// TestFetchRelayedThroughHolder: the coordinator has no store; a worker
-// with the cell in its store connects over the binary wire and advertises.
-// A fetch from a third party must be relayed down the holder's connection,
-// answered from its store, verified, and returned.
-func TestFetchRelayedThroughHolder(t *testing.T) {
-	dir, _ := storeWith(t, "relayed-key")
-	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: 2 * time.Second})
-	url := serveWire(t, coord)
-	ctx, cancel := testContext(t)
-	defer cancel()
-
-	// The holder only holds: its kind matches no job, so it polls idle,
-	// advertises its store, and serves relays.
-	go RunWorker(ctx, WorkerOptions{
-		Coordinator: url, Name: "holder", Poll: 5 * time.Millisecond,
-		Kinds:    []string{"holder.no-jobs"},
-		CacheDir: dir, AdvertInterval: 10 * time.Millisecond,
-	})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for coord.Stats().Adverts == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("holder never advertised")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	resp := coord.fetchRPC(context.Background(), fetchRequest{Worker: "cold", Key: "relayed-key"})
-	if !resp.Found {
-		t.Fatal("fetch was not relayed to the advertised holder")
-	}
-	var got cellPayload
-	if err := cellstore.DecodeRaw(resp.Raw, "relayed-key", &got); err != nil || got.Name != "relayed-key" {
-		t.Fatalf("decode relayed cell: %+v, %v", got, err)
-	}
-	st := coord.Stats()
-	if st.FetchRelayed != 1 {
-		t.Errorf("FetchRelayed = %d, want 1", st.FetchRelayed)
-	}
-}
-
-// TestFetchFalsePositiveFallsThrough: an indicator claiming everything (all
-// bits set) routes a fetch to a holder whose store is empty; the relay
-// comes back not-found and the requester is told to simulate.
+// TestFetchFalsePositiveFallsThrough: an indicator claiming everything
+// (all bits set) sends a worker to a holder whose store is empty. The
+// direct fetch comes back not-found, so does the coordinator's (empty)
+// store, and the worker is told to simulate — a false positive counted
+// once, at the coordinator, with nothing credited to either fetch path.
 func TestFetchFalsePositiveFallsThrough(t *testing.T) {
-	emptyDir := t.TempDir()
+	holder, err := startPeerServer("127.0.0.1:0", "", cellstore.For(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
 	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: 2 * time.Second})
 	url := serveWire(t, coord)
-	ctx, cancel := testContext(t)
-	defer cancel()
-	go RunWorker(ctx, WorkerOptions{
-		Coordinator: url, Name: "braggart", Poll: 5 * time.Millisecond,
-		Kinds:    []string{"holder.no-jobs"},
-		CacheDir: emptyDir, AdvertInterval: 10 * time.Millisecond,
-	})
-	deadline := time.Now().Add(5 * time.Second)
-	for coord.Stats().Adverts == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never advertised")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 
-	// Overwrite the worker's honest (empty) indicator with an all-claiming
-	// one — a phantom advertisement no connection owns.
 	f := buildFilter(digestsOf("x"), defaultBitsPerKey)
 	for i := range f.bits {
 		f.bits[i] = 0xFF
 	}
-	coord.advertRPC(advertRequest{Worker: "braggart", Gen: 99, Full: true, M: f.m, K: f.k, Bits: f.bits}, len(f.bits), nil)
-
-	resp := coord.fetchRPC(context.Background(), fetchRequest{Worker: "cold", Key: "never-simulated"})
-	if resp.Found {
-		t.Fatal("empty-store holder produced a cell")
+	braggart := &wireConn{worker: "braggart", peer: holder.Addr()}
+	coord.advertRPC(advertRequest{Worker: "braggart", Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits}, len(f.bits), braggart)
+	jobs := []leasedJob{{Key: "never-simulated"}}
+	coord.annotateHints("cold", jobs)
+	if !jobs[0].Held || len(jobs[0].Holders) != 1 || jobs[0].Holders[0] != holder.Addr() {
+		t.Fatalf("hint = %+v, want held with the braggart's address %s", jobs[0], holder.Addr())
 	}
-	if st := coord.Stats(); st.FetchFalsePos != 1 {
-		t.Errorf("FetchFalsePos = %d, want 1", st.FetchFalsePos)
+
+	tr, err := newTransport(WorkerOptions{Coordinator: url, Name: "cold"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	w := &worker{name: "cold", tr: tr, hints: map[string]jobHint{}}
+	w.noteHints(jobs)
+	if raw, ok := w.fetchKey("never-simulated"); ok {
+		t.Fatalf("an empty-store holder produced a cell (%d bytes)", len(raw))
+	}
+	if st := coord.Stats(); st.Fetches != 1 || st.FetchFalsePos != 1 {
+		t.Errorf("coordinator counters = %d fetches / %d false positives, want 1 / 1", st.Fetches, st.FetchFalsePos)
+	}
+	if d, fb := w.fetchDirect.Load(), w.fetchFallback.Load(); d != 0 || fb != 0 {
+		t.Errorf("worker counted %d direct / %d fallback fetches, want 0 / 0", d, fb)
+	}
+}
+
+// TestAdvertWithoutPeerAddressIsNotApplied: a raw wire client whose HELLO
+// names no peer address sends a well-formed full ADVERT. It is received
+// (and counted) but never applied: no grant may send a requester to an
+// address nobody gave.
+func TestAdvertWithoutPeerAddressIsNotApplied(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{})
+	_, rd, wr := pipeClient(t, coord, "silent")
+	f := buildFilter(digestsOf("k"), defaultBitsPerKey)
+	if err := wr.WriteFrame(wire.FrameAdvert, 0, 0, appendAdvert(nil, advertRequest{Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits})); err != nil {
+		t.Fatal(err)
+	}
+	// Frames on one connection are served in order: once the LEASE is
+	// answered, the ADVERT before it has been handled.
+	if err := wr.WriteFrame(wire.FrameLease, 0, 1, appendLeaseRequest(nil, leaseRequest{Worker: "silent"})); err != nil {
+		t.Fatal(err)
+	}
+	if h, _, err := rd.ReadFrame(); err != nil || h.Type != wire.FrameGrant {
+		t.Fatalf("lease reply: %s, %v", wire.TypeName(h.Type), err)
+	}
+	if got := coord.Stats().Adverts; got != 1 {
+		t.Errorf("Adverts = %d, want 1 (received)", got)
+	}
+	jobs := []leasedJob{{Key: "k"}}
+	coord.annotateHints("other", jobs)
+	if jobs[0].Held || len(jobs[0].Holders) != 0 {
+		t.Errorf("an advert from a connection without a peer address hinted %+v", jobs[0])
 	}
 }
 
@@ -373,8 +375,8 @@ func TestAdvertEndpointRejectsMalformedGeometry(t *testing.T) {
 
 // TestIdleHolderStaysAdvertised: a holder re-advertises only when its
 // store changes, so a connected holder that sits idle for many lease TTLs
-// must keep hinting and routing, and its next delta must still apply. Its
-// indicator goes only when its connection does.
+// must keep hinting, its address must keep riding on grants, and its next
+// delta must still apply. Its indicator goes only when its connection does.
 func TestIdleHolderStaysAdvertised(t *testing.T) {
 	dir, st := storeWith(t, "a")
 	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: 100 * time.Millisecond})
@@ -385,12 +387,14 @@ func TestIdleHolderStaysAdvertised(t *testing.T) {
 		Coordinator: url, Name: "holder", Poll: 5 * time.Millisecond,
 		Kinds:    []string{"holder.no-jobs"},
 		CacheDir: dir, AdvertInterval: 10 * time.Millisecond,
+		PeerAddr: "127.0.0.1:0",
 	})
-	held := func(key string) bool {
+	grant := func(key string) leasedJob {
 		jobs := []leasedJob{{Key: key}}
 		coord.annotateHints("other", jobs)
-		return jobs[0].Held
+		return jobs[0]
 	}
+	held := func(key string) bool { return grant(key).Held }
 	waitHeld := func(key string, want bool) bool {
 		deadline := time.Now().Add(3 * time.Second)
 		for held(key) != want {
@@ -409,8 +413,10 @@ func TestIdleHolderStaysAdvertised(t *testing.T) {
 	if !held("a") {
 		t.Error("a connected idle holder's indicator stopped hinting")
 	}
-	if resp := coord.fetchRPC(context.Background(), fetchRequest{Worker: "other", Key: "a"}); !resp.Found {
-		t.Error("a connected idle holder's cell was not relayed")
+	if g := grant("a"); len(g.Holders) != 1 {
+		t.Errorf("a connected idle holder's address left the grants: %+v", g)
+	} else if raw, ok := peerFetch(ctx, g.Holders[0], "other", "", "a"); !ok || cellstore.VerifyRaw("a", raw) != nil {
+		t.Errorf("a connected idle holder did not serve its cell at its granted address %s", g.Holders[0])
 	}
 	if err := st.Put("b", cellPayload{Name: "b"}); err != nil {
 		t.Fatalf("put: %v", err)

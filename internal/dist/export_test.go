@@ -4,11 +4,12 @@ package dist
 
 import "repro/internal/cellstore"
 
-// AdvertEverything records a full all-ones indicator for worker that no
-// connection owns: every key looks held, and no relay can answer for it.
-func (c *Coordinator) AdvertEverything(worker string) {
+// AdvertEverything records a full all-ones indicator for worker, bound to
+// a connection that no live worker owns and whose HELLO named addr: every
+// key looks held, and grants send requesters to addr for it.
+func (c *Coordinator) AdvertEverything(worker, addr string) {
 	ones := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
-	c.advertRPC(advertRequest{Worker: worker, Gen: 1, Full: true, M: 64, K: 2, Bits: ones}, len(ones), nil)
+	c.advertRPC(advertRequest{Worker: worker, Gen: 1, Full: true, M: 64, K: 2, Bits: ones}, len(ones), &wireConn{worker: worker, peer: addr})
 }
 
 // AdvertMatches reports whether worker's applied indicator equals the

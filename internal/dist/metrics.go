@@ -28,10 +28,9 @@ func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("bashsim_advert_bytes_total", "on-wire payload bytes of received adverts", c.exch.advertBytes.Load)
 	r.CounterFunc("bashsim_fetches_total", "peer cell fetch requests", c.exch.fetches.Load)
 	r.CounterFunc("bashsim_fetch_served_total", "fetches answered from the coordinator's own store", c.exch.served.Load)
-	r.CounterFunc("bashsim_fetch_relayed_total", "fetches answered by relaying to an advertised holder", c.exch.relayed.Load)
 	r.CounterFunc("bashsim_fetch_false_positive_total", "fetches that found nothing anywhere (indicator false positives)", c.exch.fetchMissing.Load)
 	r.CounterFunc("bashsim_fetch_direct_total", "worker-reported direct peer-to-peer fetches (bypassed the coordinator)", c.exch.direct.Load)
-	r.CounterFunc("bashsim_fetch_fallback_total", "worker-reported relay fetches after a failed direct attempt", c.exch.fallback.Load)
+	r.CounterFunc("bashsim_fetch_fallback_total", "worker-reported coordinator-store fetches after a failed direct attempt", c.exch.fallback.Load)
 
 	r.Collect("bashsim_wire_bytes_total", "socket-level bytes through Coordinator.Serve by direction", "counter",
 		func(emit func(v float64, labels ...obs.Label)) {

@@ -14,8 +14,8 @@ package dist
 // worker's warm-up, so connection reuse buys little against the simplicity
 // of no per-peer session state.
 // Every failure — dial, handshake, timeout, verification — degrades to the
-// next tier (coordinator relay, then local simulation), never to a wrong
-// result.
+// next tier (the coordinator's store, then local simulation), never to a
+// wrong result.
 
 import (
 	"context"
@@ -34,11 +34,11 @@ import (
 // connections are leaks, not sessions worth keeping).
 const peerIdleTimeout = time.Minute
 
-// peerOpTimeout bounds one whole client-side peer operation: dial,
-// handshake, request, reply. Tighter than the coordinator relay path — a
-// slow peer should lose to the relay fallback quickly, not serialize behind
-// the full relay timeout twice.
-const peerOpTimeout = relayTimeout
+// peerOpTimeout bounds one whole client-side fetch, from a peer or from
+// the coordinator's store: dial, handshake, request, reply. Generous
+// against a holder mid-GC, tight enough that a hung one soon loses to the
+// next tier.
+const peerOpTimeout = 3 * time.Second
 
 // secretDigestOK compares a secret's SHA-256 digest against secret in
 // constant time; an empty secret accepts anything (an unauthenticated
@@ -177,13 +177,13 @@ func (p *peerServer) serve(conn net.Conn) {
 				[]byte("dist: unexpected "+wire.TypeName(h.Type)+" frame on a peer connection"))
 			return
 		}
-		req, err := parseFetchRequest(payload)
+		key, err := parseFetchRequest(payload)
 		if err != nil {
 			wr.WriteFrame(wire.FrameError, 0, h.Stream, []byte(err.Error()))
 			return
 		}
 		var resp fetchResponse
-		if raw, ok := p.store.GetRaw(req.Key); ok {
+		if raw, ok := p.store.GetRaw(key); ok {
 			resp = fetchResponse{Found: true, Raw: raw}
 		}
 		buf := wire.GetBuffer()
@@ -201,7 +201,7 @@ func (p *peerServer) serve(conn net.Conn) {
 // peerFetch fetches one raw cell entry directly from a holder's peer
 // listener: dial, authenticate, one FETCH→CELL exchange, all within
 // peerOpTimeout. Returns ok=false on any failure — the caller falls back to
-// the coordinator relay. The returned bytes are unverified; the caller
+// the coordinator's store. The returned bytes are unverified; the caller
 // checks them against the key before trusting anything.
 func peerFetch(ctx context.Context, addr, worker, secret, key string) ([]byte, bool) {
 	ctx, cancel := context.WithTimeout(ctx, peerOpTimeout)
@@ -225,7 +225,7 @@ func peerFetch(ctx context.Context, addr, worker, secret, key string) ([]byte, b
 		return nil, false
 	}
 	buf := wire.GetBuffer()
-	*buf = appendFetchRequest(*buf, fetchRequest{Worker: worker, Key: key})
+	*buf = appendFetchRequest(*buf, key)
 	err = wr.WriteFrame(wire.FrameFetch, 0, 1, *buf)
 	wire.PutBuffer(buf)
 	if err != nil {

@@ -2,11 +2,11 @@ package dist_test
 
 // End-to-end worker-to-worker data path tests: with a holder serving its
 // store on a peer listener, a cold worker must warm up entirely over direct
-// peer fetches — the coordinator never relays a byte — and when the holder
-// loses its cells with its indicator still standing, every fetch must
-// degrade direct → relay → local simulation. Both paths are asserted with the sweep TSV
-// byte-identical to the serial run: the direct path is an optimization,
-// never a correctness dependency.
+// peer fetches — the coordinator never touches a cell — and when the
+// holder loses its cells with its indicator still standing, every fetch
+// must degrade direct → coordinator store → local simulation. Both paths
+// are asserted with the sweep TSV byte-identical to the serial run: the
+// direct path is an optimization, never a correctness dependency.
 
 import (
 	"context"
@@ -24,8 +24,8 @@ import (
 // TestDistDirectFetchBypassesCoordinator: coordinator (no store) + warm
 // holder-only worker serving a peer listener + cold worker. Every grant to
 // the cold worker carries the holder's peer address, so each cell arrives
-// over a direct worker-to-worker connection: zero coordinator fetches, zero
-// relays, zero simulations, TSV byte-identical to the serial run. Nothing
+// over a direct worker-to-worker connection: zero coordinator fetches,
+// zero simulations, TSV byte-identical to the serial run. Nothing
 // is ever written back to the holder that served the cells.
 func TestDistDirectFetchBypassesCoordinator(t *testing.T) {
 	if testing.Short() {
@@ -82,9 +82,9 @@ func TestDistDirectFetchBypassesCoordinator(t *testing.T) {
 	if st.FetchDirect != fig1Cells {
 		t.Errorf("FetchDirect = %d, want %d", st.FetchDirect, fig1Cells)
 	}
-	if st.Fetches != 0 || st.FetchRelayed != 0 || st.FetchFallback != 0 {
-		t.Errorf("coordinator fetch counters = %d fetches / %d relayed / %d fallbacks, want 0 of each (every fetch should go direct)",
-			st.Fetches, st.FetchRelayed, st.FetchFallback)
+	if st.Fetches != 0 || st.FetchFalsePos != 0 || st.FetchFallback != 0 {
+		t.Errorf("coordinator fetch counters = %d fetches / %d false positives / %d fallbacks, want 0 of each (every fetch should go direct)",
+			st.Fetches, st.FetchFalsePos, st.FetchFallback)
 	}
 	// A fetch is a read: the holder's store is never written during the
 	// sweep, so serving a cell costs the holder no install.
@@ -94,17 +94,18 @@ func TestDistDirectFetchBypassesCoordinator(t *testing.T) {
 }
 
 // TestDistHolderDeathFallsBackToSimulation: when a holder's cells are gone,
-// every fetch degrades direct → relay → local simulation, and when the
-// holder itself dies, nobody is sent to it at all. Both sweeps must
-// complete with TSV byte-identical to the serial run — the fallback chain
-// never produces a wrong result, only slower ones.
+// every fetch degrades direct → coordinator store → local simulation, and
+// when the holder itself dies, nobody is sent to it at all. Both sweeps
+// must complete with TSV byte-identical to the serial run — the fallback
+// chain never produces a wrong result, only slower ones.
 //
 // First the holder loses its cells while still connected (its store is
 // wiped after its only advert, so its indicator goes stale): every grant
 // hints held with the holder's live peer address, the direct fetch and the
-// relay both come back not-found, and the worker simulates. Then the holder
-// dies: its indicator goes with its wire connection, so a fresh cold worker
-// is never hinted and simulates without a single fetch round-trip.
+// coordinator's (empty) store both come back not-found, and the worker
+// simulates. Then the holder dies: its indicator goes with its wire
+// connection, so a fresh cold worker is never hinted and simulates without
+// a single fetch round-trip.
 func TestDistHolderDeathFallsBackToSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full quick-scale sweep three times")
@@ -167,14 +168,14 @@ func TestDistHolderDeathFallsBackToSimulation(t *testing.T) {
 		t.Errorf("FetchDirect = %d / FetchFallback = %d, want 0 of each (no fetch can succeed)",
 			st.FetchDirect, st.FetchFallback)
 	}
-	// Every direct failure fell through to the relay, which the holder
-	// answered not-found: all of them count as coordinator false positives.
+	// Every direct failure fell through to the coordinator's store, which
+	// has nothing: all of them count as coordinator false positives.
 	if st.Fetches != fig1Cells || st.FetchFalsePos != fig1Cells {
 		t.Errorf("fetch counters = %d fetches / %d false positives, want %d of each",
 			st.Fetches, st.FetchFalsePos, fig1Cells)
 	}
-	if st.FetchServed != 0 || st.FetchRelayed != 0 {
-		t.Errorf("served %d / relayed %d from an emptied holder, want 0", st.FetchServed, st.FetchRelayed)
+	if st.FetchServed != 0 {
+		t.Errorf("served %d from a coordinator without a store, want 0", st.FetchServed)
 	}
 
 	// The holder dies; its wire connection is torn down, taking its

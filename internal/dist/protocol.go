@@ -16,8 +16,7 @@
 //	HEARTBEAT -> BEAT-ACK    extends the jobs' leases; replies with sweep progress
 //	RESULT    -> RESULT-ACK  completes (or fails) one job; the reply may refill the batch
 //	ADVERT                   records the worker's cell-store indicator (no reply)
-//	FETCH     -> CELL        raw cell entry bytes from any holder, or not-found
-//	SUBMIT    -> SWEEP       queues one named sweep on a sweep-service coordinator
+//	FETCH     -> CELL        raw cell entry bytes from the coordinator's store, or not-found
 //
 // A protocol violation gets an ERROR frame and the connection closes.
 // Co-execution runs the same frames over an in-memory net.Pipe into the
@@ -27,10 +26,10 @@
 //
 // HTTP remains for the upgrade and the operator surfaces (see
 // Coordinator.Handler): GET /dist/status reports batch progress, live
-// workers, and lifetime counters, and POST /dist/submit takes the same
-// submission as a SUBMIT frame as JSON. A coordinator that is not running
-// as a sweep service answers a submission with an in-band error rather
-// than queueing anything.
+// workers, and lifetime counters, and POST /dist/submit queues one named
+// sweep as JSON (SubmitSweep, bashsim -submit). A coordinator that is not
+// running as a sweep service answers a submission with an in-band error
+// rather than queueing anything.
 //
 // A worker leases a batch of up to CoordinatorOptions.LeaseBatch jobs per
 // slot (adaptive: grants shrink to ceil(pending/liveWorkers) near queue
@@ -57,34 +56,31 @@
 // already-published cells from the store instead of re-simulating, and it
 // does not matter which worker (or how many) executed what.
 //
-// The peer cell exchange (protocol v4) makes that store fleet-wide without
-// shared disk. Workers with a store periodically advertise a Bloom-filter
-// indicator over their keys (ADVERT frames, deltas preferred, paced against
-// WorkerOptions.AdvertBudget); the coordinator keeps a per-worker indicator
-// table, each entry living as long as the connection that advertised it,
-// and marks each granted job with a likely-holder hint. Before simulating a
-// hinted cell a worker issues a FETCH; the coordinator serves it from its
-// own store (CacheDir) or relays the FETCH down an advertised holder's live
-// wire connection, streaming the raw entry bytes back as a CELL frame. The
-// requester verifies the entry — header format and exact key, which
-// embeds the binary fingerprint — before installing and using it
-// (cellstore.DecodeRaw, fail closed), so an indicator false positive, a
-// stale advert, or a hostile peer degrades to the pre-exchange behavior
-// (simulate locally), never to a wrong result.
+// The peer cell exchange (protocol v5) makes that store fleet-wide without
+// shared disk. A worker that serves its store to peers
+// (WorkerOptions.PeerAddr starts a listener speaking the same framed wire,
+// HELLO-authenticated, FETCH→CELL only) names that address in its HELLO
+// and periodically advertises a Bloom-filter indicator over its keys
+// (ADVERT frames, deltas preferred, paced against
+// WorkerOptions.AdvertBudget). A worker that serves nothing advertises
+// nothing: a claim nobody can answer would only cost fetch round-trips. The
+// coordinator keeps a per-worker indicator table, each entry carrying its
+// connection's peer address and living as long as that connection, and
+// marks each granted job with a likely-holder hint plus the holders' peer
+// addresses (Holders, freshest advertisement first). Adverts are the only
+// answer to "who holds this key": no worker is assigned keys, and nothing
+// is pushed to a worker that did not ask for it.
 //
-// The direct data path takes the coordinator off the bulk-data path.
-// Adverts remain the only answer to "who holds this key": no worker is
-// assigned keys, and nothing is pushed to a worker that did not ask for it.
-// Workers may serve their store to peers directly: WorkerOptions.PeerAddr
-// starts a listener speaking the same framed wire (HELLO-authenticated,
-// FETCH→CELL only), and the address is advertised in the HELLO frame and
-// every lease request. Grants then carry each hinted job's holder peer
-// addresses (Holders, freshest advertisement first). A worker resolves a
-// hinted key direct→relay→simulate: dial a holder and FETCH, fall back to
-// the coordinator relay on connect failure, timeout, or verification
-// failure, and finally simulate locally — the TSV is byte-identical on
-// every path, the paths differ only in bandwidth. With holders serving
-// peers, fetch_relayed stays ~0.
+// A worker resolves a hinted key direct → coordinator store → simulate:
+// dial a holder and FETCH; on connect failure, timeout, or verification
+// failure, FETCH from the coordinator, which answers from its own store
+// (CacheDir) and never touches another worker; failing that, simulate
+// locally. The requester verifies every entry — header format and exact
+// key, which embeds the binary fingerprint — before installing and using
+// it (cellstore.DecodeRaw, fail closed), so an indicator false positive, a
+// stale advert, or a hostile peer degrades to a local simulation, never to
+// a wrong result. The TSV is byte-identical on every path; the paths
+// differ only in bandwidth.
 //
 // Coordinator and workers are assumed to run the same binary (cache keys
 // embed the binary fingerprint, so mismatched builds waste work but never
@@ -114,10 +110,6 @@ type leaseRequest struct {
 	Worker string
 	Kinds  []string
 	Max    int
-	// Peer is the worker's peer listener address, registered with the
-	// coordinator for direct fetch routing ("" when the worker serves no
-	// peers).
-	Peer string
 }
 
 // leasedJob is one granted job inside a lease or refill reply. Held is the
@@ -136,7 +128,7 @@ type leasedJob struct {
 	// Holders lists peer listener addresses of advertised holders (freshest
 	// advertisement first, excluding the leased worker) for a Held job: the
 	// worker tries a direct FETCH against each before falling back to the
-	// coordinator relay. Empty when no holder serves peers.
+	// coordinator's store. Empty when only the coordinator's store holds it.
 	Holders []string
 }
 
@@ -187,11 +179,11 @@ type resultRequest struct {
 	Kinds  []string
 	Refill int
 	// Fetch-path delta counters since the worker's last report: cells
-	// fetched directly from a peer, and direct attempts that fell back to
-	// the coordinator relay. The coordinator folds them into its exchange
-	// totals so /dist/status sees traffic that never touched its socket.
-	// Advisory: deltas lost to a result retry undercount, never
-	// double-count.
+	// fetched directly from a peer, and cells the coordinator's store
+	// served after every direct attempt failed. The coordinator folds them
+	// into its exchange totals so /dist/status sees traffic that never
+	// touched its socket. Advisory: deltas lost to a result retry
+	// undercount, never double-count.
 	FetchDirect   uint64
 	FetchFallback uint64
 }
@@ -213,17 +205,11 @@ type advertRequest struct {
 	Bits   []byte
 }
 
-// fetchRequest asks the coordinator for one raw cell entry by store key.
-// Worker names the requester so routing never bounces a fetch back to it.
-type fetchRequest struct {
-	Worker string
-	Key    string
-}
-
-// fetchResponse carries the raw entry bytes when some holder produced
-// them. Found=false — the indicator's false positive, a departed holder, a
-// relay timeout — tells the requester to simulate locally: the exchange
-// degrades to the pre-exchange behavior, never to a wrong result.
+// fetchResponse answers a FETCH (whose payload is the store key alone)
+// with the raw entry bytes when the store asked holds them. Found=false —
+// the indicator's false positive, a departed holder — tells the requester
+// to try its next source or simulate locally: the exchange degrades to the
+// pre-exchange behavior, never to a wrong result.
 type fetchResponse struct {
 	Found bool
 	Raw   []byte
@@ -257,19 +243,18 @@ type StatusSnapshot struct {
 	FramesOut uint64 `json:"frames_out"`
 	// Peer cell exchange counters: indicator adverts received (and their
 	// on-wire payload bytes — the smoke's budget assertion reads this),
-	// fetches requested, fetches served from the coordinator's own store,
-	// fetches relayed from an advertised holder, and fetches that found
-	// nothing anywhere (the indicator false-positive counter: the requester
-	// fell back to simulating).
+	// fetches the coordinator was asked, those served from its own store,
+	// and those its store missed (the indicator false-positive counter: the
+	// requester fell back to simulating).
 	Adverts       uint64 `json:"adverts"`
 	AdvertBytes   uint64 `json:"advert_bytes"`
 	Fetches       uint64 `json:"fetches"`
 	FetchServed   uint64 `json:"fetch_served"`
-	FetchRelayed  uint64 `json:"fetch_relayed"`
 	FetchFalsePos uint64 `json:"fetch_false_pos"`
 	// Direct data path counters (worker-reported deltas folded in via
 	// result posts): cells fetched worker-to-worker without touching the
-	// coordinator, and direct attempts that fell back to the relay.
+	// coordinator, and cells the coordinator's store served after every
+	// direct attempt failed.
 	FetchDirect   uint64 `json:"fetch_direct"`
 	FetchFallback uint64 `json:"fetch_fallback"`
 	// WireConns details each live wire connection, followed by a bounded
@@ -312,17 +297,16 @@ type Stats struct {
 	// closed (handshake frames included), co-execution's pipe among them.
 	FramesIn, FramesOut uint64
 	// Peer cell exchange: Adverts counts indicator advertisements received
-	// (AdvertBytes their on-wire payload bytes), Fetches every FETCH
-	// request, FetchServed those answered from the coordinator's own store,
-	// FetchRelayed those answered by relaying to an advertised holder, and
-	// FetchFalsePos those that found nothing anywhere — the indicator's
-	// false positives (plus departed holders), each of which degraded to a
-	// local simulation on the requester.
-	Adverts, AdvertBytes, Fetches, FetchServed, FetchRelayed, FetchFalsePos uint64
+	// (AdvertBytes their on-wire payload bytes), Fetches every FETCH sent
+	// to the coordinator, FetchServed those answered from its own store,
+	// and FetchFalsePos those its store missed — the indicator's false
+	// positives (plus departed holders), each of which degraded to a local
+	// simulation on the requester.
+	Adverts, AdvertBytes, Fetches, FetchServed, FetchFalsePos uint64
 	// Direct data path: FetchDirect counts cells fetched worker-to-worker
 	// (reported by workers as deltas on result posts — this traffic never
-	// touches the coordinator's socket), and FetchFallback direct attempts
-	// that degraded to the coordinator relay.
+	// touches the coordinator's socket), and FetchFallback cells the
+	// coordinator's store served after every direct attempt failed.
 	FetchDirect, FetchFallback uint64
 	// PeerPuts always reads 0: workers no longer push cells to each other.
 	// It is kept only because the repository benchmark (perfbench/fleet.go)

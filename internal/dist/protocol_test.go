@@ -359,3 +359,25 @@ func TestStatusReportsProgressAndWorkers(t *testing.T) {
 		t.Errorf("Status = done %d total %d workers %d active %t", done, total, workers, active)
 	}
 }
+
+// TestSubmitterIsNotAWorker: a sweep submission is one HTTP request, not a
+// worker session. The submitting client must not count as a live worker
+// (which would shrink every grant's fair share for three lease TTLs) nor
+// appear among the wire connections in /dist/status.
+func TestSubmitterIsNotAWorker(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{})
+	coord.HandleSubmit(func(SubmitRequest) SubmitResponse { return SubmitResponse{ID: "s001", Position: 1} })
+	url := serveWire(t, coord)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	resp, err := SubmitSweep(ctx, WorkerOptions{Coordinator: url}, SubmitRequest{Exp: "fig1"})
+	if err != nil || resp.ID != "s001" {
+		t.Fatalf("SubmitSweep = %+v, %v; want sweep s001", resp, err)
+	}
+	if n := coord.Workers(); n != 0 {
+		t.Errorf("Workers() = %d after a submission, want 0", n)
+	}
+	if conns := coord.Snapshot().WireConns; len(conns) != 0 {
+		t.Errorf("a submission left wire connections in the status: %+v", conns)
+	}
+}

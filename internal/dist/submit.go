@@ -2,16 +2,28 @@ package dist
 
 // Sweep submissions: the client half of the sweep service. A long-lived
 // coordinator (internal/svc) installs a submission hook via HandleSubmit;
-// submissions arrive either as a SUBMIT/SWEEP frame pair on the wire
-// (SubmitSweep, bashsim -submit) or as a JSON POST /dist/submit from an
-// operator's HTTP client, and land in the same hook. A coordinator with no hook (the classic one-shot -serve, or a
-// bare NewCoordinator in tests) rejects in-band with a descriptive error
-// rather than queueing work it would never run.
+// a submission is one JSON POST /dist/submit (SubmitSweep, bashsim -submit,
+// or any operator's HTTP client), authenticated like /dist/status and never
+// a worker session. A coordinator with no hook (the classic one-shot
+// -serve, or a bare NewCoordinator in tests) rejects in-band with a
+// descriptive error rather than queueing work it would never run.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
+)
+
+// Submission bounds: enough for any sane scheduling scheme and seed
+// escalation, tight enough that a hostile or corrupt request cannot mint a
+// sweep that preempts everything forever or carries an unbounded seed list.
+const (
+	maxSweepPriority = 1 << 20
+	maxSweepSeeds    = 1 << 12
 )
 
 // SubmitRequest asks a sweep-service coordinator to queue one named sweep.
@@ -26,9 +38,9 @@ type SubmitRequest struct {
 	// Must be in [0, 1<<20].
 	Priority int `json:"priority,omitempty"`
 	// Seeds overrides the sweep's per-cell seed list (experiments
-	// Options.Seeds); empty takes the per-scale default. The service
-	// validates the list (non-empty after parse, no duplicates) and rejects
-	// bad lists in-band.
+	// Options.Seeds); empty takes the per-scale default. At most 4,096
+	// seeds; the service validates the list (non-empty after parse, no
+	// duplicates) and rejects bad lists in-band.
 	Seeds []uint64 `json:"seeds,omitempty"`
 }
 
@@ -51,18 +63,8 @@ func (c *Coordinator) HandleSubmit(fn func(SubmitRequest) SubmitResponse) {
 	c.submitMu.Unlock()
 }
 
-// submitRPC is the submission handler: the JSON endpoint and the SUBMIT
-// frame both land here.
-func (c *Coordinator) submitRPC(req SubmitRequest) SubmitResponse {
-	c.submitMu.Lock()
-	fn := c.submit
-	c.submitMu.Unlock()
-	if fn == nil {
-		return SubmitResponse{Err: "coordinator is not a sweep service (start one with bashsim -serve and no -exp)"}
-	}
-	return fn(req)
-}
-
+// handleSubmit serves POST /dist/submit: out-of-range requests get a 400
+// before the hook sees them; everything else gets the hook's answer.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if !decodeBody(w, r, &req) {
@@ -73,28 +75,59 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, c.submitRPC(req))
+	if len(req.Seeds) > maxSweepSeeds {
+		http.Error(w, fmt.Sprintf("bad request: %d seeds exceed the bound of %d", len(req.Seeds), maxSweepSeeds),
+			http.StatusBadRequest)
+		return
+	}
+	c.submitMu.Lock()
+	fn := c.submit
+	c.submitMu.Unlock()
+	if fn == nil {
+		writeJSON(w, SubmitResponse{Err: "coordinator is not a sweep service (start one with bashsim -serve and no -exp)"})
+		return
+	}
+	writeJSON(w, fn(req))
 }
 
-// SubmitSweep submits one named sweep to a sweep-service coordinator and
-// returns its acknowledgment. The submission travels the wire as a
-// SUBMIT/SWEEP frame pair, and an in-band rejection surfaces as an error
-// with the coordinator's description.
+// SubmitSweep submits one named sweep to a sweep-service coordinator as a
+// JSON POST /dist/submit and returns its acknowledgment. Only
+// o.Coordinator and o.Secret are used. A secret mismatch returns
+// *AuthError; a refused request (HTTP 400) or an in-band rejection
+// surfaces as an error with the coordinator's description.
 func SubmitSweep(ctx context.Context, o WorkerOptions, req SubmitRequest) (SubmitResponse, error) {
-	if req.Priority < 0 || req.Priority > maxSweepPriority {
-		return SubmitResponse{}, fmt.Errorf("dist: sweep priority %d out of range [0, %d]", req.Priority, maxSweepPriority)
-	}
-	tr, err := newTransport(o, nil)
+	body, err := json.Marshal(req)
 	if err != nil {
 		return SubmitResponse{}, err
 	}
-	defer tr.Close()
-	resp, err := tr.Submit(ctx, req)
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, strings.TrimRight(o.Coordinator, "/")+"/dist/submit", bytes.NewReader(body))
 	if err != nil {
-		return SubmitResponse{}, err
+		return SubmitResponse{}, fmt.Errorf("dist: coordinator URL %q: %w", o.Coordinator, err)
 	}
-	if resp.Err != "" {
-		return *resp, fmt.Errorf("dist: coordinator %s rejected the sweep: %s", o.Coordinator, resp.Err)
+	hr.Header.Set("Content-Type", "application/json")
+	if o.Secret != "" {
+		hr.Header.Set(secretHeader, o.Secret)
 	}
-	return *resp, nil
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		return SubmitResponse{}, fmt.Errorf("dist: submit: %w", err)
+	}
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusUnauthorized:
+		return SubmitResponse{}, &AuthError{Coordinator: o.Coordinator}
+	default:
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return SubmitResponse{}, fmt.Errorf("dist: coordinator %s refused the sweep (HTTP %d): %s",
+			o.Coordinator, resp.StatusCode, strings.TrimSpace(string(msg)))
+	}
+	var ack SubmitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		return SubmitResponse{}, fmt.Errorf("dist: submit reply: %w", err)
+	}
+	if ack.Err != "" {
+		return ack, fmt.Errorf("dist: coordinator %s rejected the sweep: %s", o.Coordinator, ack.Err)
+	}
+	return ack, nil
 }

@@ -21,7 +21,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cellstore"
 	"repro/internal/dist/wire"
 )
 
@@ -50,7 +49,7 @@ func newTransport(o WorkerOptions, connect connectFunc) (*binaryTransport, error
 		}
 		connect = dialUpgrade(u.Host)
 	}
-	return &binaryTransport{opt: o, name: o.name(), connect: connect, store: cellstore.For(o.CacheDir)}, nil
+	return &binaryTransport{opt: o, name: o.name(), connect: connect}, nil
 }
 
 // dialUpgrade is the connect seam for a remote coordinator: TCP, then the
@@ -133,9 +132,7 @@ func (s *wireSession) register() (uint32, chan wireReply, error) {
 		return 0, nil, s.err
 	}
 	s.next++
-	// Stream 0 is connection scope and the high bit marks
-	// coordinator-initiated (relay) streams; worker streams stay between.
-	if s.next == 0 || s.next&serverStreamBit != 0 {
+	if s.next == 0 { // stream 0 is connection scope
 		s.next = 1
 	}
 	ch := make(chan wireReply, 1)
@@ -186,7 +183,6 @@ type binaryTransport struct {
 	opt     WorkerOptions
 	name    string
 	connect connectFunc
-	store   *cellstore.Store // serves relayed FETCHes; nil when no CacheDir
 
 	mu       sync.Mutex
 	sess     *wireSession
@@ -304,41 +300,10 @@ func (t *binaryTransport) readLoop(sess *wireSession, rd *wire.Reader) {
 			t.dropSession(sess, terr)
 			return
 		}
-		if h.Type == wire.FrameFetch && h.Stream&serverStreamBit != 0 {
-			// Coordinator-initiated relay: another worker asked for a cell
-			// this one advertised. Served off the read loop so a slow disk
-			// read never stalls reply demultiplexing; the Writer serializes
-			// the CELL against concurrent request frames.
-			req, err := parseFetchRequest(payload)
-			if err != nil {
-				t.dropSession(sess, err)
-				return
-			}
-			go t.serveRelayFetch(sess, h.Stream, req)
-			continue
-		}
 		// The reader reuses its frame buffer; the waiter owns its copy.
 		cp := append([]byte(nil), payload...)
 		sess.deliver(h, cp)
 	}
-}
-
-// serveRelayFetch answers one relayed FETCH from this worker's local store
-// (not-found when the store lacks the key — an indicator false positive —
-// or the worker has no store at all).
-func (t *binaryTransport) serveRelayFetch(sess *wireSession, stream uint32, req fetchRequest) {
-	var resp fetchResponse
-	if t.store != nil {
-		if raw, ok := t.store.GetRaw(req.Key); ok {
-			resp = fetchResponse{Found: true, Raw: raw}
-		}
-	}
-	buf := wire.GetBuffer()
-	*buf = appendCell(*buf, resp)
-	if err := sess.wr.WriteFrame(wire.FrameCell, 0, stream, *buf); err != nil {
-		t.dropSession(sess, err)
-	}
-	wire.PutBuffer(buf)
 }
 
 // dropSession fails sess and arms the reconnect backoff (or the sticky
@@ -476,32 +441,11 @@ func (t *binaryTransport) Advert(ctx context.Context, f *cellFilter) (int, error
 	return sent, nil
 }
 
-// Submit carries one named sweep submission as a SUBMIT/SWEEP frame pair
+// Fetch asks the coordinator's own store for one raw cell entry
 // (request/reply like any other RPC).
-func (t *binaryTransport) Submit(ctx context.Context, req SubmitRequest) (*SubmitResponse, error) {
+func (t *binaryTransport) Fetch(ctx context.Context, key string) (*fetchResponse, error) {
 	buf := wire.GetBuffer()
-	*buf = appendSubmit(*buf, req)
-	payload, err := t.rpc(ctx, wire.FrameSubmit, *buf, wire.FrameSweep)
-	wire.PutBuffer(buf)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := parseSweep(payload)
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// Fetch asks the coordinator for one raw cell entry (request/reply like
-// any other RPC; the reply may have been relayed from a peer, but this
-// worker only ever sees the coordinator).
-func (t *binaryTransport) Fetch(ctx context.Context, req fetchRequest) (*fetchResponse, error) {
-	if req.Worker == "" {
-		req.Worker = t.name
-	}
-	buf := wire.GetBuffer()
-	*buf = appendFetchRequest(*buf, req)
+	*buf = appendFetchRequest(*buf, key)
 	payload, err := t.rpc(ctx, wire.FrameFetch, *buf, wire.FrameCell)
 	wire.PutBuffer(buf)
 	if err != nil {

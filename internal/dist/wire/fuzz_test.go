@@ -37,11 +37,11 @@ func FuzzFrameDecoder(f *testing.F) {
 	crc[18] ^= 0x55 // corrupt CRC
 	f.Add(crc)
 	f.Add(seed(FrameResult, FlagDeflate, 7, []byte{0x05, 0xFF, 0xFF})) // bogus deflate body
-	// Sweep-service frames: a healthy SUBMIT/SWEEP pair, a truncated
-	// SUBMIT payload, and the first type past the table (must be rejected).
-	f.Add(seed(FrameSubmit, 0, 8, []byte("\x04fig1\x05quick\x00")))
-	f.Add(seed(FrameSweep, 0, 8, []byte("\x04s001\x01\x00")))
-	f.Add(seed(FrameSubmit, 0, 9, []byte("submit"))[:HeaderSize+1])
+	// Cell-exchange frames: a healthy FETCH/CELL pair, a truncated ADVERT
+	// payload, and the first type past the table (must be rejected).
+	f.Add(seed(FrameFetch, 0, 8, []byte("\x04cell")))
+	f.Add(seed(FrameCell, 0, 8, []byte("\x01\x03raw")))
+	f.Add(seed(FrameAdvert, 0, 0, []byte("advert"))[:HeaderSize+1])
 	unknown := seed(frameTypeEnd, 0, 10, nil)
 	binary.BigEndian.PutUint32(unknown[16:20], crc32.ChecksumIEEE(unknown[0:16]))
 	f.Add(unknown)

@@ -6,8 +6,8 @@
 //
 //	offset  size  field
 //	0       4     magic "BSWF"
-//	4       1     protocol version (currently 2)
-//	5       1     frame type (FrameHello .. FrameSweep)
+//	4       1     protocol version (currently 5)
+//	5       1     frame type (FrameHello .. FrameCell)
 //	6       2     flags, big-endian (FlagAuthFailed, FlagDeflate)
 //	8       4     stream id, big-endian (0 = connection scope)
 //	12      4     payload length, big-endian (bounded by MaxPayload)
@@ -62,8 +62,11 @@ const (
 	// the worker's fetch-path delta counters — strict codec-shape changes
 	// again, so the version bumps. v4 drops key ownership and replication:
 	// GRANT jobs lose their owner list, RESULT its replication counter, and
-	// the PUT/PUT-ACK frames are gone.
-	Version = 4
+	// the PUT/PUT-ACK frames are gone. v5 drops the coordinator relay and
+	// the SUBMIT/SWEEP pair: a FETCH flows worker -> coordinator or worker
+	// -> peer only, LEASE loses its peer address (HELLO carries it), and
+	// sweep submissions are HTTP JSON.
+	Version = 5
 	// MaxPayload bounds a frame's payload (raw or compressed), mirroring
 	// the HTTP transport's request-body cap.
 	MaxPayload = 64 << 20
@@ -85,10 +88,8 @@ const (
 	FrameResult                    // worker -> coordinator: one job's outcome
 	FrameResultAck                 // coordinator -> worker: ack + optional refill grant
 	FrameAdvert                    // worker -> coordinator: cell-store membership indicator (no reply)
-	FrameFetch                     // either direction: request one raw cell entry by key
-	FrameCell                      // either direction: FETCH reply (found flag + raw entry bytes)
-	FrameSubmit                    // client -> coordinator: submit one named sweep (exp, scale, priority)
-	FrameSweep                     // coordinator -> client: SUBMIT reply (sweep id + queue position, or error)
+	FrameFetch                     // worker -> coordinator or peer: request one raw cell entry by key
+	FrameCell                      // FETCH reply (found flag + raw entry bytes)
 	frameTypeEnd
 )
 
@@ -142,10 +143,6 @@ func TypeName(t byte) string {
 		return "FETCH"
 	case FrameCell:
 		return "CELL"
-	case FrameSubmit:
-		return "SUBMIT"
-	case FrameSweep:
-		return "SWEEP"
 	default:
 		return fmt.Sprintf("type-%d", t)
 	}

@@ -49,10 +49,10 @@ type WorkerOptions struct {
 	// framed protocol over one persistent connection is the only one.
 	// Anything else is rejected at start.
 	Wire string
-	// CacheDir, when non-empty, is this worker's cell store: adverts cover
-	// its keys, relayed fetches are served from it, and fetched cells are
-	// installed into it. Empty disables advertising (the worker still
-	// fetches — it just never serves).
+	// CacheDir, when non-empty, is this worker's cell store: fetched cells
+	// are installed into it and, with PeerAddr, peers are served from it
+	// and adverts cover its keys. Without PeerAddr the worker still
+	// fetches — it just never advertises or serves.
 	CacheDir string
 	// AdvertBudget caps the advertisement stream at roughly this many
 	// bytes per second: filters shrink (fewer bits per key, more false
@@ -65,12 +65,12 @@ type WorkerOptions struct {
 	AdvertInterval time.Duration
 	// PeerAddr, when non-empty, starts a peer listener on this address
 	// serving the worker's cell store directly to other workers (FETCH),
-	// taking the coordinator off the bulk-data path. The address is
-	// advertised to the coordinator, so it must be dialable by peers —
-	// "host:0" works only if the resolved host is reachable from the rest
-	// of the fleet. Requires CacheDir (without a store there is nothing to
-	// serve); empty leaves fetches from this worker to the coordinator
-	// relay.
+	// and the worker advertises its store to the coordinator. The address
+	// rides the HELLO frame and grants hand it to requesters, so it must be
+	// dialable by peers — "host:0" works only if the resolved host is
+	// reachable from the rest of the fleet. Requires CacheDir (without a
+	// store there is nothing to serve); empty means this worker's cells
+	// are neither advertised nor served, so the fleet simulates them again.
 	PeerAddr string
 }
 
@@ -172,7 +172,7 @@ func runWorker(ctx context.Context, o WorkerOptions, connect connectFunc) error 
 		}
 		defer peer.Close()
 		// Advertise the resolved address (":0" resolves to the kernel's
-		// pick) — it rides the HELLO frame and every lease request.
+		// pick) — it rides the HELLO frame.
 		o.PeerAddr = peer.Addr()
 		o.logf("worker %s: peer listener on %s", o.name(), o.PeerAddr)
 	}
@@ -183,7 +183,6 @@ func runWorker(ctx context.Context, o WorkerOptions, connect connectFunc) error 
 	defer tr.Close()
 	w := &worker{
 		opt: o, name: o.name(), tr: tr,
-		store: store,
 		hints: map[string]jobHint{},
 	}
 	slotCtx, cancel := context.WithCancel(ctx)
@@ -194,8 +193,8 @@ func runWorker(ctx context.Context, o WorkerOptions, connect connectFunc) error 
 	// a canceled co-execution worker may outlive its Run by one cell, and a
 	// stale fetcher failing closed beats a fresh one torn down mid-fetch.
 	runner.SetKeyFetcher(w.fetchKey)
-	if w.store != nil {
-		go w.advertise(slotCtx)
+	if peer != nil {
+		go w.advertise(slotCtx, store)
 	}
 	errs := make(chan error, o.slots())
 	for i := 0; i < o.slots(); i++ {
@@ -215,10 +214,9 @@ func runWorker(ctx context.Context, o WorkerOptions, connect connectFunc) error 
 }
 
 type worker struct {
-	opt   WorkerOptions
-	name  string
-	tr    *binaryTransport
-	store *cellstore.Store // nil when no CacheDir
+	opt  WorkerOptions
+	name string
+	tr   *binaryTransport
 
 	// progressMu guards the last fleet progress seen across slots, so the
 	// log shows each (done, total) step once no matter which slot's reply
@@ -229,8 +227,8 @@ type worker struct {
 	// hints maps leased job keys to the coordinator's likely-held verdict
 	// and the holder peer addresses for the direct data path; fetchKey
 	// consults it so cells nobody claims skip the fetch round-trip and
-	// claimed ones try their holders peer-to-peer before the coordinator
-	// relay. Entries are dropped as jobs complete.
+	// claimed ones try their holders peer-to-peer before the coordinator's
+	// store. Entries are dropped as jobs complete.
 	hintMu sync.Mutex
 	hints  map[string]jobHint
 
@@ -263,9 +261,9 @@ func (w *worker) dropHint(key string) {
 
 // fetchKey is the runner.SetKeyFetcher hook: fetch key's raw entry from
 // the fleet, but only when the coordinator hinted someone likely holds it.
-// Holders with peer listeners are tried directly first (cheapest path, no
-// coordinator in the loop), then the coordinator relay. Any failure — no
-// hint, transport error, verification failure, not found — reports
+// The granted holders are tried directly first (cheapest path, no
+// coordinator in the loop), then the coordinator's own store. Any failure
+// — no hint, transport error, verification failure, not found — reports
 // ok=false and the executor simulates locally; a direct fetch is verified
 // against the key before use, so a confused or malicious peer costs a
 // fallback, never a wrong result.
@@ -286,30 +284,32 @@ func (w *worker) fetchKey(key string) ([]byte, bool) {
 	}
 	// Bounded independently of any job context: a fetch is an optimization
 	// with a cheap fallback, never worth a long stall.
-	ctx, cancel := context.WithTimeout(context.Background(), relayTimeout+2*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), peerOpTimeout)
 	defer cancel()
-	resp, err := w.tr.Fetch(ctx, fetchRequest{Worker: w.name, Key: key})
+	resp, err := w.tr.Fetch(ctx, key)
 	if err != nil || !resp.Found {
 		return nil, false
 	}
 	if len(hint.holders) > 0 {
-		// Direct was attempted and lost; the relay saved the simulation.
+		// Direct was attempted and lost; the coordinator's store saved the
+		// simulation.
 		w.fetchFallback.Add(1)
 	}
 	return resp.Raw, true
 }
 
-// advertise periodically rebuilds the store indicator and publishes it,
-// bandwidth-adaptively: the filter's bits-per-key shrink until a full send
-// fits the budget, an unchanged filter is not re-sent, and each send
-// defers the next by at least sentBytes/budget seconds so the advert
-// stream's long-run rate stays under AdvertBudget.
 // advertRetryDelay is how soon a failed advertisement is retried — fast
 // relative to the base cadence, because until the first advert lands the
 // coordinator computes every held hint against a table missing this worker.
 const advertRetryDelay = 100 * time.Millisecond
 
-func (w *worker) advertise(ctx context.Context) {
+// advertise periodically rebuilds the store indicator and publishes it,
+// bandwidth-adaptively: the filter's bits-per-key shrink until a full send
+// fits the budget, an unchanged filter is not re-sent, and each send
+// defers the next by at least sentBytes/budget seconds so the advert
+// stream's long-run rate stays under AdvertBudget. Only a worker serving
+// peers advertises: the coordinator hands requesters its peer address.
+func (w *worker) advertise(ctx context.Context, store *cellstore.Store) {
 	var last *cellFilter
 	timer := time.NewTimer(0) // first advert immediately: a cold fleet wants hints early
 	defer timer.Stop()
@@ -320,7 +320,7 @@ func (w *worker) advertise(ctx context.Context) {
 		case <-timer.C:
 		}
 		delay := w.opt.advertInterval()
-		f := storeFilter(w.store, w.opt.AdvertBudget)
+		f := storeFilter(store, w.opt.AdvertBudget)
 		if last == nil || !f.equal(last) {
 			if sent, err := w.tr.Advert(ctx, f); err == nil {
 				last = f
@@ -405,7 +405,7 @@ func (w *worker) loop(ctx context.Context) error {
 
 // lease asks for a batch of jobs; (nil, nil) means no work available.
 func (w *worker) lease(ctx context.Context) (*leaseResponse, error) {
-	resp, err := w.tr.Lease(ctx, leaseRequest{Worker: w.name, Kinds: w.opt.kinds(), Max: w.opt.MaxBatch, Peer: w.opt.PeerAddr})
+	resp, err := w.tr.Lease(ctx, leaseRequest{Worker: w.name, Kinds: w.opt.kinds(), Max: w.opt.MaxBatch})
 	if err != nil || resp == nil {
 		return nil, err
 	}

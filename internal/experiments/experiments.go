@@ -510,7 +510,7 @@ func fetchCell(o Options, rc runConfig, key string) (core.Metrics, bool) {
 		return core.Metrics{}, false
 	}
 	if st := cellstore.For(o.CacheDir); st != nil {
-		st.PutRaw(key, raw) // best-effort: this worker can now serve relays for it
+		st.PutRaw(key, raw) // best-effort: this worker can now serve peers from it
 	}
 	fetchCount.Add(1)
 	v, _ := cellMemo.LoadOrStore(rc, m)

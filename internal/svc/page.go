@@ -106,10 +106,11 @@ rendered {{.Now.Format "15:04:05"}} (auto-refreshes)</p>
 </table>
 
 <h2>Peer cell exchange</h2>
+<p class="muted">A cell is fetched direct from a peer, else from the coordinator's store, else simulated.</p>
 <table>
-<tr><th>adverts</th><th>advert bytes</th><th>fetches</th><th>served</th><th>relayed</th><th>false positives</th></tr>
-<tr><td>{{.Status.Dist.Adverts}}</td><td>{{.Status.Dist.AdvertBytes}}</td><td>{{.Status.Dist.Fetches}}</td>
-<td>{{.Status.Dist.FetchServed}}</td><td>{{.Status.Dist.FetchRelayed}}</td><td>{{.Status.Dist.FetchFalsePos}}</td></tr>
+<tr><th>adverts</th><th>advert bytes</th><th>direct fetches</th><th>coordinator fetches</th><th>served from its store</th><th>false positives</th></tr>
+<tr><td>{{.Status.Dist.Adverts}}</td><td>{{.Status.Dist.AdvertBytes}}</td><td>{{.Status.Dist.FetchDirect}}</td>
+<td>{{.Status.Dist.Fetches}}</td><td>{{.Status.Dist.FetchServed}}</td><td>{{.Status.Dist.FetchFalsePos}}</td></tr>
 </table>
 
 {{if .Status.Dist.WireConns}}<h2>Wire connections</h2>

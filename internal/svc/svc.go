@@ -1,10 +1,9 @@
 // Package svc is the long-lived sweep service: a dist.Coordinator that
-// stays up across sweeps, accepts named submissions (the SUBMIT/SWEEP frame
-// pair on the wire, or a JSON POST /dist/submit),
-// schedules a FIFO+priority queue of sweeps across one shared worker fleet,
-// and serves live observability — per-sweep progress and TSV retrieval
-// under /sweeps, a Prometheus scrape at /metrics, and a no-JS HTML status
-// page at /.
+// stays up across sweeps, accepts named submissions (a JSON POST
+// /dist/submit, which bashsim -submit sends), schedules a FIFO+priority
+// queue of sweeps across one shared worker fleet, and serves live
+// observability — per-sweep progress and TSV retrieval under /sweeps, a
+// Prometheus scrape at /metrics, and a no-JS HTML status page at /.
 //
 // One Service owns one Coordinator. Each active sweep is one
 // Coordinator.RunPriority loop; their jobs interleave in the coordinator's
@@ -312,8 +311,8 @@ func (s *Service) parseScale(name string) (experiments.Scale, string, error) {
 }
 
 // submit is the coordinator's submission hook: validate, queue, schedule.
-// Rejections travel in-band (SubmitResponse.Err), on the wire and over
-// POST /dist/submit alike.
+// Rejections travel in-band (SubmitResponse.Err) in the POST /dist/submit
+// reply.
 func (s *Service) submit(req dist.SubmitRequest) dist.SubmitResponse {
 	if req.Exp == "" {
 		return dist.SubmitResponse{Err: "missing experiment id (see bashsim -list)"}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -163,11 +164,13 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSubmitRejections: bad submissions are rejected in-band with a
-// description, before anything is queued.
+// TestSubmitRejections: bad submissions are rejected with a description
+// — in-band, or with a 400 for out-of-range requests, or as *AuthError for
+// a wrong secret — before anything is queued.
 func TestSubmitRejections(t *testing.T) {
+	const secret = "rejections-secret"
 	s := svc.New(svc.Options{
-		Coordinator: dist.CoordinatorOptions{},
+		Coordinator: dist.CoordinatorOptions{Secret: secret},
 		Experiments: experiments.Options{Scale: experiments.Quick},
 	})
 	srv := &http.Server{Handler: s.Handler()}
@@ -181,22 +184,42 @@ func TestSubmitRejections(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	tooManySeeds := make([]uint64, 4097)
+	for i := range tooManySeeds {
+		tooManySeeds[i] = uint64(i + 1)
+	}
 	for _, tc := range []struct {
-		req  dist.SubmitRequest
-		frag string
+		req    dist.SubmitRequest
+		secret string
+		frag   string
 	}{
-		{dist.SubmitRequest{}, "missing experiment"},
-		{dist.SubmitRequest{Exp: "fig99"}, "unknown experiment"},
-		{dist.SubmitRequest{Exp: "fig1", Scale: "medium"}, "unknown scale"},
+		{dist.SubmitRequest{}, secret, "missing experiment"},
+		{dist.SubmitRequest{Exp: "fig99"}, secret, "unknown experiment"},
+		{dist.SubmitRequest{Exp: "fig1", Scale: "medium"}, secret, "unknown scale"},
+		{dist.SubmitRequest{Exp: "fig1", Priority: -1}, secret, "out of range"},
+		{dist.SubmitRequest{Exp: "fig1", Seeds: tooManySeeds}, secret, "4097 seeds exceed"},
+		{dist.SubmitRequest{Exp: "fig1"}, "wrong-" + secret, "shared secret mismatch"},
 	} {
-		_, err := dist.SubmitSweep(ctx, dist.WorkerOptions{Coordinator: base}, tc.req)
+		_, err := dist.SubmitSweep(ctx, dist.WorkerOptions{Coordinator: base, Secret: tc.secret}, tc.req)
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
-			t.Errorf("submit %+v: err = %v, want %q", tc.req, err, tc.frag)
+			t.Errorf("submit %+v (%d seeds): err = %v, want %q", tc.req.Exp, len(tc.req.Seeds), err, tc.frag)
+		}
+		var ae *dist.AuthError
+		if errors.As(err, &ae) != (tc.secret != secret) {
+			t.Errorf("submit %+v (%d seeds): err = %v; *AuthError exactly when the secret is wrong", tc.req.Exp, len(tc.req.Seeds), err)
 		}
 	}
+	if got := s.Coordinator().Snapshot().Workers; got != 0 {
+		t.Errorf("submissions registered %d workers, want 0", got)
+	}
 
-	// The JSON submit endpoint validates priority before queueing anything.
-	resp, err := http.Post(base+"/dist/submit", "application/json", strings.NewReader(`{"exp":"fig1","priority":-1}`))
+	// The JSON submit endpoint answers an out-of-range priority with a 400.
+	req, err := http.NewRequest(http.MethodPost, base+"/dist/submit", strings.NewReader(`{"exp":"fig1","priority":-1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Bashsim-Secret", secret)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,18 +19,14 @@
 # status is archived so the per-cell byte cost is trackable.
 #
 # Then a peer-cell-exchange phase: a warm holder-only worker (populated
-# store, no executable kinds) plus a cold worker against a coordinator with
-# a fresh cache. The cold worker must complete the sweep by fetching
-# published cells through the exchange — "simulated 0 cells" in its exit
-# line, at least half the sweep fetched — with the TSV still byte-identical
-# and the advertisement bytes under the -advert-budget cap.
-#
-# Then the same topology with the holder serving its store on -peer-addr:
-# the cold worker must warm up entirely over direct worker-to-worker
-# fetches (fetch_direct > 0, fetch_relayed == 0, "simulated 0 cells"), the
-# TSV stays byte-identical, and the coordinator's socket bytes must not
-# exceed the relayed phase's — the regression gate archived as
-# BENCH_peer_fetch.json.
+# store, no executable kinds) serving its store on -peer-addr, plus a cold
+# worker against a coordinator with a fresh cache. The cold worker must
+# complete the sweep by fetching published cells worker-to-worker —
+# "simulated 0 cells" in its exit line, at least half the sweep fetched —
+# while the coordinator answers no fetch at all (fetches == 0,
+# fetch_served == 0) and fetch_direct equals the cells fetched; the TSV
+# stays byte-identical and the advertisement bytes stay under the
+# -advert-budget cap. Archived as BENCH_peer_fetch.json.
 #
 # Then kills the workers and re-runs the coordinator against the populated
 # cell store: the sweep must complete from published cells alone — zero
@@ -169,69 +165,16 @@ cmp "$WORK/serial.tsv" "$WORK/resume.tsv"
 grep -q ' 0 cells simulated' "$WORK/resume.log"
 echo "OK: resume completed from the store with zero simulations and no workers"
 
-echo "==> peer cell exchange: cold second worker fetches instead of simulating"
+echo "==> peer cell exchange: cold worker fetches worker-to-worker instead of simulating"
 # A warm holder-only worker (its kind list matches no job, so it only
-# advertises its populated store and answers relayed fetches) plus a cold
+# advertises its populated store and serves it on -peer-addr) plus a cold
 # executing worker with a fresh store. The coordinator's own cache is fresh
-# too, so every cell is dispatched to the cold worker and every fetch must
-# relay through the holder: the cold worker completes the sweep simulating
-# nothing, and the TSV still matches serial byte for byte.
+# too, so every cell is dispatched to the cold worker, every grant carries
+# the holder's peer address, and every fetch goes direct: the cold worker
+# completes the sweep simulating nothing, the coordinator never answers a
+# fetch, and the TSV still matches serial byte for byte.
 COLD_BUDGET=8192
 COLD_T0="$(date +%s)"
-"$WORK/bashsim" -worker "http://127.0.0.1:$((PORT + 4))" -dist-secret "$SECRET" -parallel 1 \
-    -poll 250ms -worker-kinds exchange.holder-only \
-    -advert-budget "$COLD_BUDGET" -cache-dir "$WORK/cache" >"$WORK/warmworker.log" 2>&1 &
-WARM=$!
-"$WORK/bashsim" -worker "http://127.0.0.1:$((PORT + 4))" -dist-secret "$SECRET" -parallel 1 \
-    -poll 50ms \
-    -advert-budget "$COLD_BUDGET" -cache-dir "$WORK/coldcache" >"$WORK/coldworker.log" 2>&1 &
-COLD=$!
-PIDS="$WARM $COLD"
-"$WORK/bashsim" -exp fig1 -serve "127.0.0.1:$((PORT + 4))" -dist-secret "$SECRET" \
-    -co-execute 0 -wait-workers 2 -advert-budget "$COLD_BUDGET" -cache-dir "$WORK/coordcache" \
-    -dist-status "$WORK/status-cold.json" -timeout 120s -out "$WORK/dist-cold.tsv" 2>"$WORK/serve-cold.log"
-COLD_T1="$(date +%s)"
-kill $WARM $COLD 2>/dev/null || true
-wait $WARM 2>/dev/null || true
-wait $COLD 2>/dev/null || true
-PIDS=""
-cmp "$WORK/serial.tsv" "$WORK/dist-cold.tsv"
-
-grep 'worker stopped' "$WORK/coldworker.log"
-if ! grep -q 'simulated 0 cells' "$WORK/coldworker.log"; then
-    echo "FAIL: the cold worker simulated published cells:" >&2
-    cat "$WORK/coldworker.log" >&2
-    exit 1
-fi
-fetched="$(sed -n 's/.*fetched \([0-9][0-9]*\) from peers.*/\1/p' "$WORK/coldworker.log")"
-if [ -z "$fetched" ] || [ "$fetched" -lt 8 ]; then
-    echo "FAIL: cold worker fetched ${fetched:-0} cells, want >= 8 (half the sweep)" >&2
-    exit 1
-fi
-fetches="$(status_field "$WORK/status-cold.json" fetches)"
-relayed="$(status_field "$WORK/status-cold.json" fetch_relayed)"
-adverts="$(status_field "$WORK/status-cold.json" adverts)"
-if [ "${fetches:-0}" -eq 0 ] || [ "${relayed:-0}" -eq 0 ] || [ "${adverts:-0}" -eq 0 ]; then
-    echo "FAIL: exchange counters: fetches=$fetches relayed=$relayed adverts=$adverts (want all > 0)" >&2
-    cat "$WORK/status-cold.json" >&2
-    exit 1
-fi
-advert_bytes="$(status_field "$WORK/status-cold.json" advert_bytes)"
-advert_cap=$((2 * COLD_BUDGET * (COLD_T1 - COLD_T0 + 5)))
-if [ "${advert_bytes:-0}" -gt "$advert_cap" ]; then
-    echo "FAIL: $advert_bytes advert bytes over ~$((COLD_T1 - COLD_T0))s exceeds 2 workers x ${COLD_BUDGET}B/s (cap $advert_cap)" >&2
-    exit 1
-fi
-echo "OK: cold worker fetched $fetched cells (simulated 0), $relayed relayed of $fetches fetches, $advert_bytes advert bytes under budget"
-
-echo "==> direct fetch: holder serves its store peer-to-peer, coordinator off the data path"
-# Same topology as the relay phase above — warm holder-only worker plus a
-# cold executing worker, fresh coordinator cache — but the holder now serves
-# its store on -peer-addr, so grants carry its peer address and the cold
-# worker fetches every published cell worker-to-worker: fetch_direct > 0,
-# fetch_relayed == 0 (the coordinator never touches a cell payload), the
-# TSV still byte-identical, and the coordinator's socket-byte total must
-# not exceed the relayed phase's for the same sweep.
 "$WORK/bashsim" -worker "http://127.0.0.1:$((PORT + 6))" -dist-secret "$SECRET" -parallel 1 \
     -poll 250ms -worker-kinds exchange.holder-only \
     -peer-addr "127.0.0.1:$((PORT + 7))" \
@@ -245,6 +188,7 @@ PIDS="$WARM $DIRECT"
 "$WORK/bashsim" -exp fig1 -serve "127.0.0.1:$((PORT + 6))" -dist-secret "$SECRET" \
     -co-execute 0 -wait-workers 2 -advert-budget "$COLD_BUDGET" -cache-dir "$WORK/coorddirect" \
     -dist-status "$WORK/status-direct.json" -timeout 120s -out "$WORK/dist-direct.tsv" 2>"$WORK/serve-direct.log"
+COLD_T1="$(date +%s)"
 kill $WARM $DIRECT 2>/dev/null || true
 wait $WARM 2>/dev/null || true
 wait $DIRECT 2>/dev/null || true
@@ -253,33 +197,36 @@ cmp "$WORK/serial.tsv" "$WORK/dist-direct.tsv"
 
 grep 'worker stopped' "$WORK/directworker.log"
 if ! grep -q 'simulated 0 cells' "$WORK/directworker.log"; then
-    echo "FAIL: the cold worker simulated published cells on the direct path:" >&2
+    echo "FAIL: the cold worker simulated published cells:" >&2
     cat "$WORK/directworker.log" >&2
     exit 1
 fi
+fetched="$(sed -n 's/.*fetched \([0-9][0-9]*\) from peers.*/\1/p' "$WORK/directworker.log")"
+if [ -z "$fetched" ] || [ "$fetched" -lt 8 ]; then
+    echo "FAIL: cold worker fetched ${fetched:-0} cells, want >= 8 (half the sweep)" >&2
+    exit 1
+fi
 direct="$(status_field "$WORK/status-direct.json" fetch_direct)"
-direct_relayed="$(status_field "$WORK/status-direct.json" fetch_relayed)"
-if [ "${direct:-0}" -eq 0 ]; then
-    echo "FAIL: fetch_direct=$direct: no cell went worker-to-worker" >&2
+fetches="$(status_field "$WORK/status-direct.json" fetches)"
+served="$(status_field "$WORK/status-direct.json" fetch_served)"
+adverts="$(status_field "$WORK/status-direct.json" adverts)"
+if [ "${direct:-0}" -ne "$fetched" ] || [ "${fetches:-1}" -ne 0 ] || [ "${served:-1}" -ne 0 ] || [ "${adverts:-0}" -eq 0 ]; then
+    echo "FAIL: exchange counters: fetch_direct=$direct (want $fetched, the cells fetched), fetches=$fetches fetch_served=$served (want 0: the coordinator must answer no fetch), adverts=$adverts (want > 0)" >&2
     cat "$WORK/status-direct.json" >&2
     exit 1
 fi
-if [ "${direct_relayed:-0}" -ne 0 ]; then
-    echo "FAIL: fetch_relayed=$direct_relayed on the direct path (want 0: the holder's peer listener must serve everything)" >&2
-    cat "$WORK/status-direct.json" >&2
+advert_bytes="$(status_field "$WORK/status-direct.json" advert_bytes)"
+advert_cap=$((COLD_BUDGET * (COLD_T1 - COLD_T0 + 5)))
+if [ "${advert_bytes:-0}" -gt "$advert_cap" ]; then
+    echo "FAIL: $advert_bytes advert bytes over ~$((COLD_T1 - COLD_T0))s exceeds 1 advertising worker x ${COLD_BUDGET}B/s (cap $advert_cap)" >&2
     exit 1
 fi
 direct_bytes=$(($(status_field "$WORK/status-direct.json" bytes_in) + $(status_field "$WORK/status-direct.json" bytes_out)))
-relay_bytes=$(($(status_field "$WORK/status-cold.json" bytes_in) + $(status_field "$WORK/status-cold.json" bytes_out)))
-if [ "$direct_bytes" -le 0 ] || [ "$relay_bytes" -le 0 ]; then
-    echo "FAIL: byte counters missing (direct=$direct_bytes relay=$relay_bytes)" >&2
+if [ "$direct_bytes" -le 0 ]; then
+    echo "FAIL: byte counters missing (direct=$direct_bytes)" >&2
     exit 1
 fi
-if [ "$direct_bytes" -gt "$relay_bytes" ]; then
-    echo "FAIL: direct-fetch warm-up moved $direct_bytes coordinator bytes vs $relay_bytes relayed (want <=: the payloads must bypass the coordinator)" >&2
-    exit 1
-fi
-echo "OK: $direct cells fetched worker-to-worker (0 relayed); coordinator moved $direct_bytes bytes vs $relay_bytes when relaying"
+echo "OK: cold worker fetched $fetched cells worker-to-worker (simulated 0, 0 coordinator fetches); coordinator moved $direct_bytes bytes, $advert_bytes advert bytes under budget"
 
 echo "==> cache-gc on the populated store"
 "$WORK/bashsim" -cache-gc -cache-dir "$WORK/cache"
@@ -406,15 +353,13 @@ echo "OK: SIGTERM drained cleanly; persisted status shows $svc_completed complet
 echo "==> exporting artifacts to $ART"
 mkdir -p "$ART"
 cp "$WORK/status.json" "$ART/dist-status.json"
-cp "$WORK/status-cold.json" "$ART/dist-status-cold-worker.json"
 cp "$WORK/status-direct.json" "$ART/dist-status-direct-fetch.json"
 cat >"$ART/BENCH_peer_fetch.json" <<EOF
 {
   "bench": "peer_fetch_warmup",
   "cells": $completed,
   "fetch_direct": $direct,
-  "direct_coordinator_bytes": $direct_bytes,
-  "relay_coordinator_bytes": $relay_bytes
+  "direct_coordinator_bytes": $direct_bytes
 }
 EOF
 cat "$ART/BENCH_peer_fetch.json"
